@@ -1,12 +1,13 @@
 """Fast-forward kernel benchmark: speedup + bitwise parity (BENCH_kernel.json).
 
-Measures the analytical fast-forward kernel (DESIGN.md §4h) against the
-per-step reference path on two workloads:
+Measures multi-step decode runs (DESIGN.md §4h) against the per-step
+reference — the same engine with every run capped at one step
+(``fast_kernel=False``) — on two workloads:
 
 * ``decode_heavy`` — a decode-only trial with long generations, the
-  workload the macro-stepper exists for. Acceptance floor: **3x**.
+  workload multi-step runs exist for. Acceptance floor: **3x**.
 * ``fig12_sweep`` — the Figure 12 placement-search sweep (quick sizes),
-  fast kernel on vs. off with otherwise identical settings. The search
+  runs uncapped vs. capped with otherwise identical settings. The search
   interleaves prefill/decode/joint trials with enumeration and pruning
   overhead, so the floor is lower: **1.5x**.
 
@@ -183,8 +184,8 @@ def run_kernel_bench(num_requests=200, sweep_requests=60, rounds=3):
     mixed_row, mixed_parity = bench_disaggregated_parity(num_requests, rounds)
     sweep_row, placement_parity = bench_fig12_sweep(sweep_requests)
     return {
-        "description": "fast-forward simulation kernel (macro-stepped decode "
-                       "+ memoized batch latency) vs per-step reference path",
+        "description": "multi-step decode runs vs decode runs capped at one "
+                       "step (the per-step reference)",
         "runs": [heavy_row, mixed_row, sweep_row],
         "record_parity": bool(heavy_parity and mixed_parity),
         "placement_parity": bool(placement_parity),

@@ -551,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--search-stats", action="store_true",
                       help="print cache hit rate, pruned configs and wall time")
     plan.add_argument("--no-fast-kernel", action="store_true",
-                      help="force the per-step reference simulation path "
-                           "(the fast-forward kernel is bit-identical, so "
-                           "this only changes speed, never the placement)")
+                      help="cap decode runs at one step per event (runs "
+                           "are bit-identical either way, so this only "
+                           "changes speed, never the placement)")
     _add_scheduling_flags(plan)
 
     serve = sub.add_parser("serve", help="simulate serving a trace")

@@ -6,7 +6,6 @@ from .deploy import build_system
 from .goodput import (
     GoodputResult,
     TrialOutcome,
-    attainment_at_rate,
     max_goodput,
     min_slo_scale,
     run_attainment_trial,
@@ -34,7 +33,6 @@ __all__ = [
     "build_system",
     "GoodputResult",
     "TrialOutcome",
-    "attainment_at_rate",
     "max_goodput",
     "min_slo_scale",
     "run_attainment_trial",

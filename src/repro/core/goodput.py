@@ -27,11 +27,11 @@ builds on both):
 
 A third accelerator lives below this layer entirely: trials built by
 :func:`repro.core.simulate.phase_trial_setup` (and the joint factories
-of Algorithm 2) default to the fast-forward simulation kernel (DESIGN
-§4h) — macro-stepped decode runs and memoized batch latency inside the
-simulator. It is bit-identical to the per-step reference path, so this
-module never needs to know which one ran; ``fast_kernel=False`` threads
-through the same factories as an escape hatch.
+of Algorithm 2) let decode instances plan multi-step runs (DESIGN §4h)
+and price batches through O(1) latency timers. Runs are bit-identical
+to runs capped at one step, so this module never needs to know which
+ran; ``fast_kernel=False`` threads through the same factories to cap
+them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "TrialOutcome",
     "max_goodput",
     "run_attainment_trial",
-    "attainment_at_rate",
     "min_slo_scale",
 ]
 
@@ -203,26 +202,6 @@ def run_attainment_trial(
         )
     report = slo_attainment(result.records, slo, num_expected=len(trace))
     return TrialOutcome(attainment=report.total, truncated=truncated)
-
-
-def attainment_at_rate(
-    system_factory: "Callable[[Simulation], ServingSystem]",
-    dataset: SyntheticDataset,
-    rate: float,
-    slo: SLO,
-    num_requests: int = 300,
-    seed: int = 0,
-    min_duration: float = 20.0,
-) -> float:
-    """Simulate one full trial and return total SLO attainment.
-
-    Thin wrapper over :func:`run_attainment_trial` with aborting disabled,
-    kept for callers that only need the exact scalar.
-    """
-    return run_attainment_trial(
-        system_factory, dataset, rate, slo,
-        num_requests=num_requests, seed=seed, min_duration=min_duration,
-    ).attainment
 
 
 def max_goodput(

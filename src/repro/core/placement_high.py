@@ -93,7 +93,7 @@ def place_high_affinity(
             (result-preserving; see :mod:`repro.core.search`).
         early_abort: Stop individual trials once the attainment target
             is mathematically unreachable.
-        fast_kernel: Use the fast-forward simulation kernel for trials
+        fast_kernel: Let decode instances plan multi-step runs in trials
             (default on; results are bit-identical either way).
         scheduling: Queue/batch/dispatch policy triple the simulated
             instances run (``None`` = paper defaults). Enters trial

@@ -354,8 +354,8 @@ class GoodputTask:
     context_fp: str
     seed_entries: "dict[float, TrialEntry]" = field(default_factory=dict)
     early_abort: bool = True
-    #: Fast-forward simulation kernel (bit-identical results; off routes
-    #: every trial through the per-step reference path).
+    #: Multi-step decode runs (bit-identical results; off caps every
+    #: decode run at one step).
     fast_kernel: bool = True
     #: Scheduling policy triple for phase tasks (joint tasks carry it
     #: inside the factory partial). Non-default configs are bound into

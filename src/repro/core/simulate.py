@@ -39,10 +39,9 @@ PHASE_TRIAL_MIN_DURATION = 45.0
 def _prefill_factory(
     spec: InstanceSpec,
     sim: Simulation,
-    fast_kernel: bool = True,
     scheduling: "SchedulingConfig | None" = None,
 ) -> PrefillOnlySystem:
-    return PrefillOnlySystem(sim, spec, fast_kernel=fast_kernel, scheduling=scheduling)
+    return PrefillOnlySystem(sim, spec, scheduling=scheduling)
 
 
 def _decode_factory(
@@ -77,14 +76,12 @@ def phase_trial_setup(
         spec: The candidate instance.
         slo: The full application SLO; the partner phase's bound is
             replaced by an unbounded value.
-        fast_kernel: Disable to force the per-step reference path (the
-            ``--no-fast-kernel`` escape hatch).
+        fast_kernel: Disable to cap decode runs at one step (the
+            ``--no-fast-kernel`` escape hatch); prefill has one path.
         scheduling: Policy configuration; ``None`` or the default triple
             keeps the historic factory shape.
     """
     kwargs = {}
-    if not fast_kernel:
-        kwargs["fast_kernel"] = False
     if scheduling is not None and not scheduling.is_default():
         kwargs["scheduling"] = scheduling
     if kind == "prefill":
@@ -93,6 +90,8 @@ def phase_trial_setup(
             SLO(ttft=slo.ttft, tpot=_UNBOUNDED),
         )
     if kind == "decode":
+        if not fast_kernel:
+            kwargs["fast_kernel"] = False
         return (
             partial(_decode_factory, spec, **kwargs),
             SLO(ttft=_UNBOUNDED, tpot=slo.tpot),
@@ -109,12 +108,11 @@ def simu_prefill(
     seed: int = 0,
     trial_runner: "TrialRunner | None" = None,
     early_abort: bool = True,
-    fast_kernel: bool = True,
     scheduling: "SchedulingConfig | None" = None,
 ) -> GoodputResult:
     """Max rate one prefill instance sustains under the TTFT SLO alone."""
     factory, phase_slo = phase_trial_setup(
-        "prefill", spec, slo, fast_kernel=fast_kernel, scheduling=scheduling
+        "prefill", spec, slo, scheduling=scheduling
     )
     return max_goodput(
         factory,

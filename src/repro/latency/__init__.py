@@ -1,4 +1,14 @@
-"""Analytical latency model (paper Appendix A) and parallelism adjustments."""
+"""Analytical latency model (paper Appendix A) and parallelism adjustments.
+
+Each Appendix A term — GEMM, prefill attention and decode attention
+(:mod:`.coefficients`), TP all-reduce, activation transfer and pipeline
+assembly (:mod:`.parallel`) — is written once. The per-request
+evaluators (:func:`prefill_latency`, :func:`decode_step_latency`,
+:func:`mixed_batch_latency`, :func:`prefill_times`,
+:func:`decode_times`) and the O(1) timers the simulator caches
+(:class:`DecodeStepTimer`, :class:`PrefillBatchTimer`) all compose those
+functions with the same operation grouping, so they agree bitwise.
+"""
 
 from .coefficients import (
     DEFAULT_ATTENTION_BLOCK_SIZE,
@@ -10,14 +20,15 @@ from .coefficients import (
 from .comm import kv_cache_bytes, kv_transfer_time, required_bandwidth
 from .decode import compute_bound_batch_size, decode_step_latency, decode_throughput
 from .parallel import (
+    DecodeStepTimer,
     ExecutionTimes,
     ParallelismConfig,
+    PrefillBatchTimer,
     decode_times,
     intra_op_speedup,
     prefill_times,
     tp_allreduce_time_per_layer,
 )
-from .memo import DecodeStepTimer, PrefillBatchTimer
 from .mixed import mixed_batch_latency
 from .prefill import prefill_latency, prefill_throughput, saturation_length
 

@@ -32,6 +32,9 @@ __all__ = [
     "coefficients_from_roofline",
     "fit_coefficients",
     "ProfileSample",
+    "gemm_time",
+    "prefill_attention_time",
+    "decode_attention_time",
 ]
 
 #: FlashAttention block size ``b`` used in the attention-term arithmetic
@@ -232,3 +235,59 @@ def gemm_term_decode(model: ModelArchitecture) -> float:
 def attn_term_decode(model: ModelArchitecture, total_context: float) -> float:
     """The ``3 h t`` decode KV-traffic polynomial."""
     return 3.0 * model.hidden_size * total_context
+
+
+# ----------------------------------------------------------------------
+# Per-layer time terms. Every latency evaluator in this package — the
+# list-based reference functions and the O(1) timers alike — composes
+# these, so each term has exactly one floating-point expression.
+# ----------------------------------------------------------------------
+def gemm_time(
+    model: ModelArchitecture, coeffs: LatencyCoefficients, num_tokens: int, tp: int
+) -> float:
+    """Per-layer GEMM seconds for ``num_tokens`` tokens: compute + weights.
+
+    Compute (the paper's C1 term) pays the TP partition-efficiency
+    penalty; weight streaming (C4) shards perfectly across ranks and
+    does not depend on the token count. The sum is a smooth roofline:
+    small batches cannot hide weight traffic behind compute.
+    """
+    compute = (
+        coeffs.c1 * gemm_term_prefill(model, num_tokens) / coeffs.effective_tp(tp)
+    )
+    memory = coeffs.c4 * gemm_term_decode(model) / tp
+    return compute + memory
+
+
+def prefill_attention_time(
+    model: ModelArchitecture,
+    coeffs: LatencyCoefficients,
+    squared_len_sum: float,
+    tp: int,
+) -> float:
+    """Per-layer prefill attention seconds: max of memory and FLOPs cost.
+
+    Memory is the paper's C2 term. FlashAttention performs ~4 h t2
+    FLOPs per layer, i.e. 2 h t2 in the multiply-accumulate units C1 is
+    expressed in. One fused kernel overlaps the two, hence ``max``.
+    """
+    block = coeffs.attention_block_size
+    memory = coeffs.c2 * attn_term_prefill(model, squared_len_sum, block) / tp
+    compute = (
+        coeffs.c1 * 2.0 * model.hidden_size * squared_len_sum / coeffs.effective_tp(tp)
+    )
+    return max(memory, compute)
+
+
+def decode_attention_time(
+    model: ModelArchitecture,
+    coeffs: LatencyCoefficients,
+    total_context: float,
+    tp: int,
+) -> float:
+    """Per-layer decode attention seconds: KV reads (the paper's C5 term).
+
+    ~2 FLOPs per element read keeps arithmetic intensity near 1, so the
+    term is always memory-bound; KV shards across TP ranks.
+    """
+    return coeffs.c5 * attn_term_decode(model, total_context) / tp

@@ -13,12 +13,7 @@ KV reads by ``tp``; kernel overhead ``C3`` does not shrink.
 
 from __future__ import annotations
 
-from .coefficients import (
-    LatencyCoefficients,
-    attn_term_decode,
-    gemm_term_decode,
-    gemm_term_prefill,
-)
+from .coefficients import LatencyCoefficients, decode_attention_time, gemm_time
 from ..models.architecture import ModelArchitecture
 
 __all__ = ["decode_step_latency", "decode_throughput", "compute_bound_batch_size"]
@@ -54,26 +49,10 @@ def decode_step_latency(
     batch_size = len(context_lens)
     if batch_size == 0:
         return 0.0
-    # The reference per-step path is O(B) by design; the fast-forward
-    # kernel (DESIGN.md §4h) bypasses it and keeps this total
-    # incrementally. Integer sum, so order-sensitivity (DET004) is moot.
-    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h fast kernel
+    # Integer sum, so order-sensitivity (DET004) is moot.
     total_context = float(sum(context_lens))
-
-    # GEMM term: weight streaming (paper's C4) plus compute at batch size
-    # B, which dominates once B crosses the device's compute-bound
-    # threshold. Memory traffic shards perfectly across TP ranks (each
-    # GPU streams only its own weights), so only the compute side pays
-    # the partition-efficiency penalty.
-    gemm_memory = coeffs.c4 * gemm_term_decode(model) / tp
-    gemm_compute = coeffs.c1 * gemm_term_prefill(model, batch_size) / coeffs.effective_tp(tp)
-    gemm = gemm_memory + gemm_compute
-
-    # Attention term: KV reads (paper's C5) — ~2 FLOPs per element read
-    # keeps arithmetic intensity near 1, always memory-bound; KV shards
-    # across TP ranks like the weights.
-    attn = coeffs.c5 * attn_term_decode(model, total_context) / tp
-
+    gemm = gemm_time(model, coeffs, batch_size, tp)
+    attn = decode_attention_time(model, coeffs, total_context, tp)
     return layers * (gemm + attn + coeffs.c3)
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from .coefficients import (
     LatencyCoefficients,
-    attn_term_decode,
-    attn_term_prefill,
-    gemm_term_decode,
-    gemm_term_prefill,
+    decode_attention_time,
+    gemm_time,
+    prefill_attention_time,
 )
 from ..models.architecture import ModelArchitecture
 
@@ -65,23 +64,11 @@ def mixed_batch_latency(
     total_tokens = prefill_tokens + decode_tokens
     if total_tokens == 0:
         return 0.0
-    etp = coeffs.effective_tp(tp)
-
-    # Memory traffic shards perfectly across TP ranks; only compute pays
-    # the partition-efficiency penalty (see repro.latency.prefill).
-    gemm_compute = coeffs.c1 * gemm_term_prefill(model, total_tokens) / etp
-    gemm_memory = coeffs.c4 * gemm_term_decode(model) / tp
-    gemm = gemm_compute + gemm_memory
-
+    gemm = gemm_time(model, coeffs, total_tokens, tp)
     t2 = float(sum(length * length for length in prefill_lens))
-    attn_pre_mem = (
-        coeffs.c2 * attn_term_prefill(model, t2, coeffs.attention_block_size) / tp
-    )
-    attn_pre_cmp = coeffs.c1 * 2.0 * model.hidden_size * t2 / etp
-    attn_pre = max(attn_pre_mem, attn_pre_cmp)
-
-    attn_dec = (
-        coeffs.c5 * attn_term_decode(model, float(sum(decode_context_lens))) / tp
+    attn_pre = prefill_attention_time(model, coeffs, t2, tp)
+    attn_dec = decode_attention_time(
+        model, coeffs, float(sum(decode_context_lens)), tp
     )
 
     # Engine iteration overhead is charged once per batch, matching the

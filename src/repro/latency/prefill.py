@@ -17,12 +17,7 @@ communication is added separately in :mod:`repro.latency.parallel`.
 
 from __future__ import annotations
 
-from .coefficients import (
-    LatencyCoefficients,
-    attn_term_prefill,
-    gemm_term_decode,
-    gemm_term_prefill,
-)
+from .coefficients import LatencyCoefficients, gemm_time, prefill_attention_time
 from ..models.architecture import ModelArchitecture
 
 __all__ = ["prefill_latency", "prefill_throughput", "saturation_length"]
@@ -60,24 +55,8 @@ def prefill_latency(
     if t == 0:
         return 0.0
     t2 = float(sum(length * length for length in input_lens))
-
-    # GEMM term: compute cost (paper's C1 term) plus weight-streaming cost.
-    # The weight traffic of one layer is the same 4h^2 + 2hm elements the
-    # decode model charges via C4, independent of t.
-    # Compute pays the TP partition-efficiency penalty; weight streaming
-    # shards perfectly across ranks.
-    gemm_compute = coeffs.c1 * gemm_term_prefill(model, t) / coeffs.effective_tp(tp)
-    gemm_memory = coeffs.c4 * gemm_term_decode(model) / tp
-    gemm = gemm_compute + gemm_memory
-
-    # Attention term: memory cost (paper's C2 term) vs. its FLOPs cost.
-    # FlashAttention performs ~4 * h * t2 FLOPs per layer, i.e. 2*h*t2 in
-    # the multiply-accumulate units C1 is expressed in. A single fused
-    # kernel overlaps the two, hence max() rather than sum.
-    attn_memory = coeffs.c2 * attn_term_prefill(model, t2, coeffs.attention_block_size) / tp
-    attn_compute = coeffs.c1 * 2.0 * model.hidden_size * t2 / coeffs.effective_tp(tp)
-    attn = max(attn_memory, attn_compute)
-
+    gemm = gemm_time(model, coeffs, t, tp)
+    attn = prefill_attention_time(model, coeffs, t2, tp)
     return layers * (gemm + attn + coeffs.c3)
 
 

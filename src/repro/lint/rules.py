@@ -960,21 +960,17 @@ class HotPathComprehensionRule(Rule):
 # PERF001 — O(1) work per decode step
 # ----------------------------------------------------------------------
 
-#: Entry points of the decode step loop: the per-step reference path,
-#: the macro-run planner/finisher, and every helper the fast-forward
-#: kernel (DESIGN.md §4h) calls while a run is in flight. Anything these
-#: reach transitively runs once per decode step (or per macro run on a
-#: batch of B requests), so an O(B) ``sum(...)`` reduction there undoes
-#: the kernel's incremental bookkeeping.
+#: Entry points of the decode step loop: the decode run planner and
+#: finisher, the bulk step materializer (DESIGN.md §4h), and the
+#: colocated per-step token advance. Anything these reach transitively
+#: runs once per decode step (or per run on a batch of B requests), so
+#: an O(B) ``sum(...)`` reduction there undoes the incremental
+#: bookkeeping.
 _DECODE_LOOP_ROOTS = frozenset({
-    "_run_step",
-    "_finish_step",
-    "_advance_decodes",
-    "_run_fast",
-    "_finish_fast_run",
+    "_plan_run",
+    "_finish_run",
     "_materialize",
-    "_sync_to_now",
-    "_kv_safe_steps",
+    "_advance_decodes",
 })
 
 #: Scheduling-policy entry points (repro.scheduling): every one runs
@@ -994,15 +990,15 @@ class DecodeLoopSumRule(Rule):
     """No ``sum()`` reductions reachable from the decode step loop.
 
     Rationale:
-        The decode step loop (``_run_step`` and the fast-forward kernel
-        helpers, DESIGN.md §4h) runs once per decode step; an O(batch)
-        ``sum(...)`` there undoes the kernel's incremental bookkeeping.
+        The decode step loop (``_plan_run`` and the other run helpers,
+        DESIGN.md §4h) runs once per decode step; an O(batch)
+        ``sum(...)`` there undoes the engine's incremental bookkeeping.
         Reachability is computed on the whole-program call graph, so a
-        sum in ``repro.latency`` called from ``_run_step`` is flagged
+        sum in ``repro.latency`` called from ``_plan_run`` is flagged
         even though it lives outside the simulator package.
 
     Example violation:
-        def _run_step(self):
+        def _plan_run(self):
             return sum(s.context_len for s in self._active)   # PERF001
 
     Suppression:

@@ -4,7 +4,7 @@ from .api import APIFrontend, CompletionRequest, CompletionResponse, count_token
 from .base import ServingSystem, SimulationResult, simulate_trace
 from .colocated import ColocatedSystem
 from .disaggregated import DisaggregatedSystem
-from .dispatch import DISPATCH_POLICIES, Dispatcher, make_dispatcher
+from .dispatch import DISPATCH_POLICIES, Dispatcher
 from .phase_only import DecodeOnlySystem, PrefillOnlySystem
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "DisaggregatedSystem",
     "DISPATCH_POLICIES",
     "Dispatcher",
-    "make_dispatcher",
     "DecodeOnlySystem",
     "PrefillOnlySystem",
 ]

@@ -40,8 +40,9 @@ class ColocatedSystem(ServingSystem):
         tracer: Optional lifecycle tracer, shared with every replica.
         profiler: Optional critical-path profiler, shared with every
             replica.
-        fast_kernel: Evaluate iteration latency through the memoized
-            timers (bit-identical results).
+        fast_kernel: Accepted for signature parity with
+            :class:`DisaggregatedSystem`; colocated replicas have one
+            engine path, so it has no effect.
         scheduling: Full policy configuration (:mod:`repro.scheduling`)
             shared by every replica; its ``dispatch_policy`` overrides
             the legacy ``dispatch_policy`` keyword.
@@ -79,7 +80,6 @@ class ColocatedSystem(ServingSystem):
                 name=f"colocated-{i}",
                 tracer=tracer,
                 profiler=profiler,
-                fast_kernel=fast_kernel,
                 scheduling=scheduling,
             )
             for i in range(num_replicas)

@@ -57,9 +57,9 @@ class DisaggregatedSystem(ServingSystem):
         profiler: Optional critical-path profiler, shared with every
             instance and the transfer engine; additionally receives
             blocked-on-transfer intervals per decode instance (pull mode).
-        fast_kernel: Enable the fast-forward simulation kernel on every
-            instance (bit-identical results; tracing/profiling forces
-            decode instances back to the per-step reference path).
+        fast_kernel: Let decode instances plan multi-step runs
+            (bit-identical results; disabling, tracing or profiling caps
+            every run at one step). Prefill instances have one path.
         scheduling: Full policy configuration (:mod:`repro.scheduling`)
             shared by every instance; its ``dispatch_policy`` overrides
             the legacy ``dispatch_policy`` keyword.
@@ -105,7 +105,7 @@ class DisaggregatedSystem(ServingSystem):
             PrefillInstance(
                 sim, prefill_spec, on_prefill_done=self._on_prefill_done,
                 name=f"prefill-{i}", tracer=tracer, profiler=profiler,
-                fast_kernel=fast_kernel, scheduling=scheduling,
+                scheduling=scheduling,
             )
             for i in range(num_prefill)
         ]

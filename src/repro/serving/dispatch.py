@@ -17,7 +17,7 @@ from ..scheduling.config import DISPATCH_POLICIES
 from ..scheduling.dispatch import DispatchPolicy, make_dispatch_policy
 from ..simulator.metrics import MetricsRegistry
 
-__all__ = ["Dispatcher", "make_dispatcher", "DISPATCH_POLICIES"]
+__all__ = ["Dispatcher", "DISPATCH_POLICIES"]
 
 T = TypeVar("T")
 
@@ -63,11 +63,3 @@ class Dispatcher:
         self.dispatches += 1
         return self._impl.select(instances)
 
-
-def make_dispatcher(
-    policy: str,
-    load_fn: "Callable[[T], float]",
-    rng: "np.random.Generator | None" = None,
-) -> Dispatcher:
-    """Convenience constructor mirroring :class:`Dispatcher`."""
-    return Dispatcher(policy=policy, load_fn=load_fn, rng=rng)

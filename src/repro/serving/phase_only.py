@@ -40,7 +40,6 @@ class PrefillOnlySystem(ServingSystem):
         num_instances: int = 1,
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
-        fast_kernel: bool = True,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
@@ -48,8 +47,7 @@ class PrefillOnlySystem(ServingSystem):
         self.instances = [
             PrefillInstance(
                 sim, spec, on_prefill_done=self._finish, name=f"prefill-{i}",
-                tracer=tracer, profiler=profiler, fast_kernel=fast_kernel,
-                scheduling=scheduling,
+                tracer=tracer, profiler=profiler, scheduling=scheduling,
             )
             for i in range(num_instances)
         ]

@@ -36,9 +36,8 @@ from .metrics import MetricsRegistry
 from .profiler import NULL_PROFILER, Profiler
 from .request import RequestPhase, RequestState
 from .tracing import NULL_TRACER, SpanKind, Tracer
-from ..latency.memo import DecodeStepTimer
 from ..latency.mixed import mixed_batch_latency
-from ..latency.parallel import decode_times, prefill_times
+from ..latency.parallel import DecodeStepTimer, PrefillBatchTimer
 from ..scheduling.config import SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
 
@@ -61,9 +60,6 @@ class ColocatedInstance:
         tracer: Optional lifecycle tracer receiving queue/exec/step spans.
         profiler: Optional critical-path profiler receiving one exec
             event per iteration, tagged by iteration kind.
-        fast_kernel: Evaluate pure-decode iteration latency through the
-            memoized O(1) timer (bit-identical to the reference path)
-            instead of re-materializing and re-summing context lists.
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before each admission
             pass (FCFS default is a no-op). Batch shaping stays with the
@@ -81,7 +77,6 @@ class ColocatedInstance:
         name: str = "colocated-0",
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
-        fast_kernel: bool = True,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         if policy not in POLICIES:
@@ -120,10 +115,12 @@ class ColocatedInstance:
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self._iterating = False
-        # Fast kernel: decode-iteration latency from the memoized timer
-        # and an incrementally maintained running-context total.
-        self._fast = bool(fast_kernel)
-        self._timer = DecodeStepTimer(
+        # Pure prefill/decode iterations price batches through the O(1)
+        # timers; decode ones read an incrementally maintained total.
+        self._prefill_timer = PrefillBatchTimer(
+            spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
+        )
+        self._decode_timer = DecodeStepTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
         )
         self._running_context_tokens = 0
@@ -300,133 +297,68 @@ class ColocatedInstance:
     def _iteration_prefill_priority(self) -> None:
         batch = self._try_admit_prefill(self._max_prefill_tokens)
         if batch:
-            lens = [self._prompt_len(s) for s in batch]
-            times = prefill_times(
-                self.spec.model,
-                self.spec.config,
-                self._coeffs,
-                lens,
-                tp_link=self.spec.tp_link,
-                pp_link=self.spec.pp_link,
-            )
-            duration = times.request_latency * self._jitter()
-            assert duration >= 0.0  # latency model + jitter are nonnegative
-            self.prefill_iterations += 1
-            self.busy_time += duration
-            batch_tokens = sum(lens)
-            self.tokens_prefilled += batch_tokens
-            for state in batch:
-                state.phase = RequestPhase.PREFILLING
-                state.stamp("prefill_start", self._sim.now)
-                self._trace.end(
-                    state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now
-                )
-                self._trace.begin(
-                    state.request_id,
-                    SpanKind.PREFILL_EXEC,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                )
-            step_start = self._sim.now
-            self._inflight_prefills = list(batch)
-            self._sim.schedule(
-                duration,
-                lambda: self._finish_prefill(batch, step_start, batch_tokens),
-            )
-            return
-        if self._running:
-            if self._fast:
-                base = self._timer.request_latency(
-                    len(self._running), self._running_context_tokens
-                )
-            else:
-                contexts = [s.context_len for s in self._running]
-                base = decode_times(
-                    self.spec.model,
-                    self.spec.config,
-                    self._coeffs,
-                    contexts,
-                    tp_link=self.spec.tp_link,
-                    pp_link=self.spec.pp_link,
-                ).request_latency
-            duration = base * self._jitter()
-            assert duration >= 0.0  # latency model + jitter are nonnegative
-            self.decode_iterations += 1
-            self.busy_time += duration
-            batch_snapshot = list(self._running)
-            step_start = self._sim.now
-            self._sim.schedule(
-                duration, lambda: self._finish_decode(batch_snapshot, step_start)
-            )
-            return
-        self._iterating = False
+            self._launch_prefill(batch)
+        elif self._running:
+            self._launch_decode()
+        else:
+            self._iterating = False
 
     def _iteration_decode_priority(self) -> None:
         """Decode first; prompts wait until the running set drains."""
         if self._running:
-            if self._fast:
-                base = self._timer.request_latency(
-                    len(self._running), self._running_context_tokens
-                )
-            else:
-                contexts = [s.context_len for s in self._running]
-                base = decode_times(
-                    self.spec.model,
-                    self.spec.config,
-                    self._coeffs,
-                    contexts,
-                    tp_link=self.spec.tp_link,
-                    pp_link=self.spec.pp_link,
-                ).request_latency
-            duration = base * self._jitter()
-            assert duration >= 0.0  # latency model + jitter are nonnegative
-            self.decode_iterations += 1
-            self.busy_time += duration
-            batch_snapshot = list(self._running)
-            step_start = self._sim.now
-            self._sim.schedule(
-                duration, lambda: self._finish_decode(batch_snapshot, step_start)
-            )
+            self._launch_decode()
             return
         batch = self._try_admit_prefill(self._max_prefill_tokens)
         if batch:
-            lens = [self._prompt_len(s) for s in batch]
-            times = prefill_times(
-                self.spec.model,
-                self.spec.config,
-                self._coeffs,
-                lens,
-                tp_link=self.spec.tp_link,
-                pp_link=self.spec.pp_link,
+            self._launch_prefill(batch)
+        else:
+            self._iterating = False
+
+    def _launch_prefill(self, batch: "list[RequestState]") -> None:
+        """Start a pure prefill iteration over ``batch``."""
+        batch_tokens = 0
+        squared = 0
+        for state in batch:
+            length = self._prompt_len(state)
+            batch_tokens += length
+            squared += length * length
+        base, _ = self._prefill_timer.times(batch_tokens, float(squared))
+        duration = base * self._jitter()
+        assert duration >= 0.0  # latency model + jitter are nonnegative
+        self.prefill_iterations += 1
+        self.busy_time += duration
+        self.tokens_prefilled += batch_tokens
+        for state in batch:
+            state.phase = RequestPhase.PREFILLING
+            state.stamp("prefill_start", self._sim.now)
+            self._trace.end(state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now)
+            self._trace.begin(
+                state.request_id,
+                SpanKind.PREFILL_EXEC,
+                self._sim.now,
+                self.name,
+                batch_size=len(batch),
             )
-            duration = times.request_latency * self._jitter()
-            assert duration >= 0.0  # latency model + jitter are nonnegative
-            self.prefill_iterations += 1
-            self.busy_time += duration
-            batch_tokens = sum(lens)
-            self.tokens_prefilled += batch_tokens
-            for state in batch:
-                state.phase = RequestPhase.PREFILLING
-                state.stamp("prefill_start", self._sim.now)
-                self._trace.end(
-                    state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now
-                )
-                self._trace.begin(
-                    state.request_id,
-                    SpanKind.PREFILL_EXEC,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                )
-            step_start = self._sim.now
-            self._inflight_prefills = list(batch)
-            self._sim.schedule(
-                duration,
-                lambda: self._finish_prefill(batch, step_start, batch_tokens),
-            )
-            return
-        self._iterating = False
+        step_start = self._sim.now
+        self._inflight_prefills = list(batch)
+        self._sim.schedule(
+            duration, lambda: self._finish_prefill(batch, step_start, batch_tokens)
+        )
+
+    def _launch_decode(self) -> None:
+        """Start one pure decoding step of the whole running set."""
+        base = self._decode_timer.request_latency(
+            len(self._running), self._running_context_tokens
+        )
+        duration = base * self._jitter()
+        assert duration >= 0.0  # latency model + jitter are nonnegative
+        self.decode_iterations += 1
+        self.busy_time += duration
+        batch_snapshot = list(self._running)
+        step_start = self._sim.now
+        self._sim.schedule(
+            duration, lambda: self._finish_decode(batch_snapshot, step_start)
+        )
 
     def _finish_prefill(
         self,

@@ -16,21 +16,23 @@ so a request admitted never runs out of KV mid-flight; this is the
 conservative no-preemption policy a disaggregated decode instance can
 afford because the prefill side buffers overflow (§4.3 pull policy).
 
-**Fast-forward kernel (DESIGN §4h).** When per-step observability is off
-(tracer and profiler are the NULL objects, no metrics registry attached)
-and ``fast_kernel`` is enabled, the instance *macro-steps*: instead of
-one heap event per decode step it plans the longest run of steps whose
-batch membership provably cannot change — bounded by the shortest
-remaining request, by KV-growth safety in optimistic-admission mode, and
+**One engine: macro runs (DESIGN §4h).** Because admission reserves
+the full context, the batch changes only when a request arrives or
+finishes. The instance therefore plans a whole *run* of decode steps at
+once — the longest stretch bounded by the shortest remaining request and
 by the next pending simulation event — and schedules a single run-end
-event. Per-step boundaries, jitter draws, token times, KV growth, and
-counters are computed with the same floating-point operations in the
-same order as the step-by-step path, so results are bit-identical.
-Mid-run reads (the pull policy's :meth:`can_reserve`) first materialize
-every boundary strictly before the current virtual time, and a
-submission landing mid-run truncates the run at the next step boundary
-(where the per-step path would admit it), refunding unused jitter draws
-so the RNG stream stays aligned.
+event. Step boundaries, jitter draws, token times and counters follow
+the same floating-point operations in the same order as stepping one at
+a time, so results are bit-identical for any run length. A submission
+landing mid-run truncates the run at the next step boundary, refunding
+unused jitter draws so the RNG stream stays aligned.
+
+The per-step reference is this engine with every run capped at one
+step: selected by ``fast_kernel=False`` and forced whenever a tracer,
+profiler, or metrics registry (:meth:`DecodeInstance.instrument`)
+observes individual steps. Counters charge a step's batch and busy time
+when the step starts and its tokens when it ends, so an observer
+sampling mid-step sees what a one-event-per-step engine would show.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from .metrics import MetricsRegistry
 from .profiler import NULL_PROFILER, Profiler
 from .request import RequestPhase, RequestState
 from .tracing import NULL_TRACER, SpanKind, Tracer
-from ..latency.memo import DecodeStepTimer
-from ..latency.parallel import decode_times
+from ..latency.parallel import DecodeStepTimer
 from ..scheduling.batch import BatchPolicy, make_batch_policy
 from ..scheduling.config import SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
@@ -63,17 +64,13 @@ class DecodeInstance:
         spec: Instance resources and parallelism.
         on_request_done: Callback fired when a request's last token is
             generated.
-        reserve_full_context: Reserve KV for the final context length at
-            admission (True, default) or only the current context with
-            growth on demand (False — vLLM-style optimistic admission;
-            an append failure then preempts the youngest request).
         name: Identifier for reporting.
         tracer: Optional lifecycle tracer receiving queue/step spans.
         profiler: Optional critical-path profiler receiving one exec
             event per decoding step.
-        fast_kernel: Allow macro-stepped runs when per-step observability
+        fast_kernel: Allow multi-step runs when per-step observability
             is off. Results are bit-identical either way; disabling
-            forces the one-event-per-step reference path.
+            caps every run at one step (the per-step reference).
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before admission and
             the batch policy gates the ``max_batch_size`` cap. Defaults
@@ -85,7 +82,6 @@ class DecodeInstance:
         sim: Simulation,
         spec: InstanceSpec,
         on_request_done: Callable[[RequestState], None],
-        reserve_full_context: bool = True,
         name: str = "decode-0",
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
@@ -96,7 +92,6 @@ class DecodeInstance:
         self.spec = spec
         self.name = name
         self._on_done = on_request_done
-        self._reserve_full = reserve_full_context
         cfg = scheduling if scheduling is not None else SchedulingConfig()
         self._qpolicy: QueuePolicy = make_queue_policy(
             cfg.queue_policy,
@@ -107,31 +102,28 @@ class DecodeInstance:
         self._bpolicy: BatchPolicy = make_batch_policy(cfg.batch_policy)
         self._waiting: "Deque[RequestState]" = deque()
         self._active: "list[RequestState]" = []
-        self._active_ids: "set[int]" = set()
         self._kv: KVBlockManager = spec.make_kv_manager()
-        self._coeffs = spec.latency_coeffs
         self._jitter = spec.make_jitter(name)
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self._alive = True
         self._stepping = False
-        # Fast-forward kernel: active only when nothing observes
+        # Runs are capped at one step whenever something observes
         # individual steps (tracing/profiling emit per-step artifacts;
         # instrument() samples live state through gauges).
-        self._fast = (
-            bool(fast_kernel)
-            and not self._trace.enabled
-            and not self._prof.enabled
+        self._capped = (
+            not fast_kernel or self._trace.enabled or self._prof.enabled
         )
         self._timer = DecodeStepTimer(
-            spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
+            spec.model, spec.config, spec.latency_coeffs, spec.tp_link, spec.pp_link
         )
         # With jitter_sigma == 0 the noise source is the stateless
-        # constant 1.0 (x * 1.0 is bitwise x), so macro-run planning may
-        # skip the draw calls without perturbing any stream position.
+        # constant 1.0 (x * 1.0 is bitwise x), so run planning may skip
+        # the draw calls without perturbing any stream position.
         self._unit_jitter = spec.jitter_sigma == 0.0
-        # State of the in-flight macro run (empty when idle or slow).
+        # State of the in-flight run (empty when idle).
         self._run_batch: "list[RequestState]" = []
+        self._run_start = 0.0
         self._run_boundaries: "list[float]" = []
         self._run_durations: "list[float]" = []
         self._run_jitters: "list[float]" = []
@@ -145,7 +137,8 @@ class DecodeInstance:
         # Incrementally maintained total context length of the active
         # set — the O(1) dispatch/telemetry signal (no per-step lists).
         self._active_context_tokens = 0
-        # Instrumentation.
+        # Instrumentation. Admission never overcommits KV, so nothing is
+        # ever preempted; the counter stays for metric-schema stability.
         self.steps_executed = 0
         self.busy_time = 0.0
         self.preemptions = 0
@@ -165,9 +158,9 @@ class DecodeInstance:
     def active_tokens(self) -> int:
         """Total context tokens of the active set, O(1) mid-run.
 
-        During a macro run the per-step state is not materialized; the
-        count of elapsed (but unmaterialized) step boundaries times the
-        batch size bridges the gap without touching per-request state.
+        During a run the per-step state is not materialized; the count
+        of elapsed (but unmaterialized) step boundaries times the batch
+        size bridges the gap without touching per-request state.
         """
         extra = 0
         if self._run_cursor < len(self._run_boundaries):
@@ -186,11 +179,11 @@ class DecodeInstance:
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this instance's gauges/counters (callback-backed).
 
-        Gauges sample live batch/KV/counter state, which a macro-stepped
-        run advances only in bulk — so instrumenting an instance routes
-        all subsequent runs through the exact per-step path.
+        Gauges sample live batch/KV/counter state, which a multi-step
+        run advances only in bulk — so instrumenting an instance caps
+        all subsequent runs at one step.
         """
-        self._fast = False
+        self._capped = True
         labels = {"phase": "decode", "instance": self.name}
         registry.gauge(
             "repro_queue_depth", "Requests waiting for a batch slot",
@@ -241,20 +234,11 @@ class DecodeInstance:
         is initiated only when this returns True. ``extra_blocks``
         accounts for reservations already promised to in-flight transfers.
         """
-        self._sync_to_now()
-        need = self._reservation_tokens(state)
-        need_blocks = -(-need // self._kv.block_size)
-        return need_blocks + extra_blocks <= self._kv.free_blocks
+        return self.reservation_blocks(state) + extra_blocks <= self._kv.free_blocks
 
     def reservation_blocks(self, state: RequestState) -> int:
         """Blocks a future admission of ``state`` will consume."""
-        self._sync_to_now()
-        return -(-self._reservation_tokens(state) // self._kv.block_size)
-
-    def _reservation_tokens(self, state: RequestState) -> int:
-        if self._reserve_full:
-            return state.request.total_tokens
-        return state.context_len
+        return -(-state.request.total_tokens // self._kv.block_size)
 
     # ------------------------------------------------------------------
     def submit(self, state: RequestState) -> None:
@@ -273,19 +257,13 @@ class DecodeInstance:
         self._truncate_run()
         self._kick()
 
-    def _draw_jitter(self) -> float:
-        if self._jitter_queue:
-            return self._jitter_queue.popleft()
-        return self._jitter()
-
     def _truncate_run(self) -> None:
-        """Shorten an in-flight macro run to the next step boundary.
+        """Shorten an in-flight run to the next step boundary.
 
-        A submission landing mid-run is admitted, in the per-step path,
-        when the step in flight completes. Keep boundaries up to the
-        first one strictly after now, refund the dropped steps' jitter
-        draws, and re-aim the run-end event (the stale one is voided by
-        the generation bump).
+        A submission landing mid-run is admitted when the step in flight
+        completes. Keep boundaries up to the first one strictly after
+        now, refund the dropped steps' jitter draws, and re-aim the
+        run-end event (the stale one is voided by the generation bump).
         """
         boundaries = self._run_boundaries
         if self._run_cursor >= len(boundaries):
@@ -298,10 +276,7 @@ class DecodeInstance:
         del self._run_durations[keep:]
         del self._run_jitters[keep:]
         self._run_generation += 1
-        generation = self._run_generation
-        last = boundaries[-1]
-        assert last >= self._sim.now
-        self._sim.schedule_at(last, lambda: self._finish_fast_run(generation))
+        self._schedule_run_end()
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
@@ -310,7 +285,7 @@ class DecodeInstance:
             len(self._active), self.spec.max_batch_size
         ):
             head = self._waiting[0]
-            need = self._reservation_tokens(head)
+            need = head.request.total_tokens
             if not self._kv.can_allocate(need):
                 break
             self._kv.allocate(head.request_id, need)
@@ -319,7 +294,6 @@ class DecodeInstance:
             head.stamp("decode_start", self._sim.now)
             self._trace.end(head.request_id, SpanKind.DECODE_QUEUE, self._sim.now)
             self._active.append(head)
-            self._active_ids.add(head.request_id)
             self._active_context_tokens += head.context_len
 
     def _kick(self) -> None:
@@ -329,152 +303,37 @@ class DecodeInstance:
         self._continue()
 
     def _continue(self) -> None:
-        """Admit and start the next step or macro run (or go idle)."""
+        """Admit and start the next run (or go idle)."""
         self._admit()
         if not self._active:
             self._stepping = False
             return
-        if self._fast:
-            self._run_fast()
-        else:
-            self._run_step()
-
-    def _microbatch_contexts(self) -> "list[int]":
-        """Context lengths of one steady-state micro-batch."""
-        pp = self.spec.config.pp
-        size = -(-len(self._active) // pp)
-        return [s.context_len for s in self._active[:size]]
+        self._plan_run()
 
     # ------------------------------------------------------------------
-    # Reference per-step path
+    # Runs
     # ------------------------------------------------------------------
-    def _run_step(self) -> None:
-        contexts = self._microbatch_contexts()
-        times = decode_times(
-            self.spec.model,
-            self.spec.config,
-            self._coeffs,
-            contexts,
-            tp_link=self.spec.tp_link,
-            pp_link=self.spec.pp_link,
-        )
-        duration = times.request_latency * self._draw_jitter()
-        assert duration >= 0.0  # latency model + jitter are nonnegative
-        self.steps_executed += 1
-        self.busy_time += duration
-        batch = list(self._active)
-        step_start = self._sim.now
-        self._sim.schedule(duration, lambda: self._finish_step(batch, step_start))
+    def _plan_run(self) -> None:
+        """Plan and schedule one run of decode steps.
 
-    def _finish_step(
-        self, batch: "list[RequestState]", step_start: float = 0.0
-    ) -> None:
-        if not self._alive:
-            return  # the instance died mid-step; victims re-routed
-        finished: "list[RequestState]" = []
-        step_tokens = 0
-        for state in batch:
-            if state.request_id not in self._active_ids:
-                continue  # preempted mid-step
-            if not self._reserve_full:
-                if not self._kv.can_append(state.request_id):
-                    self._preempt_youngest()
-                    if state.request_id not in self._active_ids:
-                        continue
-                    if not self._kv.can_append(state.request_id):
-                        continue  # skip this token; retried next step
-                self._kv.append(state.request_id)
-            state.record_token(self._sim.now)
-            self.tokens_generated += 1
-            self._active_context_tokens += 1
-            step_tokens += 1
-            if self._trace.enabled:
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    step_start,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=state.generated - 1,
-                )
-            if state.is_finished:
-                finished.append(state)
-        if self._prof.enabled:
-            self._prof.record_exec(
-                self.name, "decode", step_start, self._sim.now,
-                len(batch), step_tokens,
-            )
-        for state in finished:
-            self._active.remove(state)
-            self._active_ids.discard(state.request_id)
-            self._active_context_tokens -= state.context_len
-            self._kv.free(state.request_id)
-            state.phase = RequestPhase.FINISHED
-            self._on_done(state)
-        self._continue()
-
-    # ------------------------------------------------------------------
-    # Fast-forward kernel (macro-stepped runs)
-    # ------------------------------------------------------------------
-    def _kv_safe_steps(self, limit: int) -> int:
-        """Longest run with guaranteed KV growth (optimistic admission).
-
-        Largest ``j <= limit`` such that growing every active request by
-        ``j`` tokens fits the free block budget; through step ``j`` the
-        per-step path performs the exact same appends (cumulative need is
-        monotone and no blocks free mid-run), so it preempts nobody.
-        """
-        block_size = self._kv.block_size
-        free = self._kv.free_blocks
-        held = [self._kv.tokens_of(s.request_id) for s in self._active]
-
-        def extra_blocks(growth: int) -> int:
-            total = 0
-            for tokens in held:
-                total += (
-                    -(-(tokens + growth) // block_size) - (-(-tokens // block_size))
-                )
-            return total
-
-        if extra_blocks(limit) <= free:
-            return limit
-        lo, hi = 0, limit  # extra_blocks(0) == 0 <= free
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if extra_blocks(mid) <= free:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _run_fast(self) -> None:
-        """Plan and schedule one macro run of decode steps.
-
-        The run length is bounded by (a) the shortest remaining request —
-        so nobody finishes mid-run, (b) KV-growth safety in optimistic
-        mode — so nobody is preempted mid-run, and (c) the next pending
-        event: a step is included only if it *starts* strictly before
-        that event fires, because anything firing earlier could enqueue
-        work the per-step path would admit at that step's boundary. The
-        first step may overshoot the horizon — it is in flight in the
-        per-step path too, and mid-flight events only enqueue.
+        The run length is bounded by one step when capped, else by (a)
+        the shortest remaining request — so nobody finishes mid-run — and
+        (b) the next pending event: a step is included only if it
+        *starts* strictly before that event fires, because anything
+        firing earlier could enqueue work that must be admitted at that
+        step's boundary. The first step may overshoot the horizon — it
+        is in flight either way, and mid-flight events only enqueue.
         """
         active = self._active
-        max_steps = active[0].remaining_tokens
-        for state in active:
-            remaining = state.remaining_tokens
-            if remaining < max_steps:
-                max_steps = remaining
-        if not self._reserve_full:
-            max_steps = self._kv_safe_steps(max_steps)
-            if max_steps < 1:
-                # The very next step preempts: run it through the exact
-                # per-step path, which performs the real preemption.
-                self._run_step()
-                return
-        pp = self.spec.config.pp
-        mb_size = -(-len(active) // pp)
+        if self._capped:
+            max_steps = 1
+        else:
+            max_steps = active[0].remaining_tokens
+            for state in active:
+                remaining = state.remaining_tokens
+                if remaining < max_steps:
+                    max_steps = remaining
+        mb_size = -(-len(active) // self.spec.config.pp)
         mb_context = 0
         for state in active[:mb_size]:
             mb_context += state.context_len
@@ -486,7 +345,8 @@ class DecodeInstance:
         t = self._sim.now
         steps = 0
         if self._unit_jitter:
-            # base * 1.0 is bitwise base; no stream position to advance.
+            # base * 1.0 is bitwise base and the unit stream is stateless:
+            # no draw to make, none to refund on truncation.
             while steps < max_steps:
                 if steps > 0 and peek is not None and t >= peek:
                     break
@@ -495,7 +355,6 @@ class DecodeInstance:
                 t = t + duration
                 boundaries.append(t)
                 durations.append(duration)
-                jitters.append(1.0)
                 mb_context += mb_size
                 steps += 1
         else:
@@ -512,75 +371,95 @@ class DecodeInstance:
                 mb_context += mb_size
                 steps += 1
         self._run_batch = list(active)
+        self._run_start = self._sim.now
         self._run_boundaries = boundaries
         self._run_durations = durations
         self._run_jitters = jitters
         self._run_cursor = 0
+        # The first step starts now; later ones as boundaries complete.
+        self.steps_executed += 1
+        self.busy_time += durations[0]
+        self._schedule_run_end()
+
+    def _draw_jitter(self) -> float:
+        if self._jitter_queue:
+            return self._jitter_queue.popleft()
+        return self._jitter()
+
+    def _schedule_run_end(self) -> None:
         generation = self._run_generation
-        last = boundaries[-1]
+        last = self._run_boundaries[-1]
         assert last >= self._sim.now
-        self._sim.schedule_at(last, lambda: self._finish_fast_run(generation))
+        self._sim.schedule_at(last, lambda: self._finish_run(generation))
 
     def _materialize(self, upto: int) -> None:
-        """Advance run steps ``[cursor, upto)`` in bulk.
+        """Complete run steps ``[cursor, upto)`` in bulk.
 
-        Counters accumulate per step in boundary order (preserving the
-        reference path's float-addition sequence); token times and KV
-        growth advance with one bulk operation per request, which is
-        value-identical to the per-step equivalents.
+        Each completed boundary starts the next step, which is charged
+        then, in boundary order (preserving the float-addition sequence
+        of stepping one at a time); token times advance with one bulk
+        operation per request, value-identical to per-step appends.
         """
         cursor = self._run_cursor
         if upto <= cursor:
             return
-        count = upto - cursor
         durations = self._run_durations
-        for index in range(cursor, upto):
+        for step in range(cursor + 1, min(upto + 1, len(durations))):
             self.steps_executed += 1
-            self.busy_time += durations[index]
+            self.busy_time += durations[step]
         step_times = self._run_boundaries[cursor:upto]
         batch = self._run_batch
-        grow_kv = not self._reserve_full
         for state in batch:
-            if grow_kv:
-                self._kv.append(state.request_id, count)
             state.record_tokens(step_times)
+        count = upto - cursor
         self.tokens_generated += count * len(batch)
         self._active_context_tokens += count * len(batch)
         self._run_cursor = upto
 
-    def _sync_to_now(self) -> None:
-        """Materialize every boundary strictly before the current time.
-
-        Boundaries exactly at ``now`` belong to the run-end event (which
-        fires after any event already pending when the run was planned —
-        matching the per-step event order at equal times).
-        """
-        if self._run_cursor >= len(self._run_boundaries):
-            return
-        done = bisect_left(self._run_boundaries, self._sim.now, self._run_cursor)
-        self._materialize(done)
-
-    def _finish_fast_run(self, generation: int) -> None:
+    def _finish_run(self, generation: int) -> None:
         if not self._alive or generation != self._run_generation:
-            return  # the instance failed mid-run; victims re-routed
+            return  # stale run-end, or the instance failed mid-run
         self._materialize(len(self._run_boundaries))
-        finished: "list[RequestState]" = []
-        for state in self._run_batch:
-            if state.is_finished:
-                finished.append(state)
-        self._run_batch = []
-        self._run_boundaries = []
-        self._run_durations = []
-        self._run_jitters = []
-        self._run_cursor = 0
+        if self._capped:
+            self._emit_step()
+        finished = [state for state in self._run_batch if state.is_finished]
+        self._clear_run()
         for state in finished:
-            self._active.remove(state)
-            self._active_ids.discard(state.request_id)
+            # Identity filter: list.remove would run the dataclass
+            # __eq__ against every request ahead of this one.
+            self._active = [s for s in self._active if s is not state]
             self._active_context_tokens -= state.context_len
             self._kv.free(state.request_id)
             state.phase = RequestPhase.FINISHED
             self._on_done(state)
         self._continue()
+
+    def _emit_step(self) -> None:
+        """Spans and profiler exec event of a finished one-step run."""
+        batch = self._run_batch
+        start, end = self._run_start, self._run_boundaries[0]
+        if self._trace.enabled:
+            for state in batch:
+                self._trace.span(
+                    state.request_id,
+                    SpanKind.DECODE_STEP,
+                    start,
+                    end,
+                    self.name,
+                    batch_size=len(batch),
+                    token_index=state.generated - 1,
+                )
+        if self._prof.enabled:
+            self._prof.record_exec(
+                self.name, "decode", start, end, len(batch), len(batch)
+            )
+
+    def _clear_run(self) -> None:
+        self._run_batch = []
+        self._run_boundaries = []
+        self._run_durations = []
+        self._run_jitters = []
+        self._run_cursor = 0
 
     # ------------------------------------------------------------------
     @property
@@ -596,26 +475,19 @@ class DecodeInstance:
         *propagation* the paper warns about (§4.3): one decode failure
         creates a prefill load spike.
         """
-        if self._run_cursor < len(self._run_boundaries):
-            # Materialize completed steps, then charge the in-flight one:
-            # the per-step path charges counters at step start.
-            self._sync_to_now()
-            if self._run_cursor < len(self._run_boundaries):
-                self.steps_executed += 1
-                self.busy_time += self._run_durations[self._run_cursor]
+        # Complete every step that ended strictly before now; that also
+        # charges the step in flight, which started by now.
+        self._materialize(
+            bisect_left(self._run_boundaries, self._sim.now, self._run_cursor)
+        )
         self._run_generation += 1
-        self._run_batch = []
-        self._run_boundaries = []
-        self._run_durations = []
-        self._run_jitters = []
-        self._run_cursor = 0
+        self._clear_run()
         self._alive = False
         victims = list(self._active) + list(self._waiting)
         for state in victims:
             self._kv.free(state.request_id)
             state.recompute_len = state.context_len
         self._active.clear()
-        self._active_ids.clear()
         self._waiting.clear()
         self._active_context_tokens = 0
         self._stepping = False
@@ -625,21 +497,3 @@ class DecodeInstance:
         for request_id in self._kv.holders():
             self._kv.free(request_id)
         return victims
-
-    def _preempt_youngest(self) -> None:
-        """vLLM-style recompute preemption of the most recent admission."""
-        if not self._active:
-            return
-        victim = self._active.pop()
-        self._active_ids.discard(victim.request_id)
-        self._active_context_tokens -= victim.context_len
-        self._kv.free(victim.request_id)
-        victim.phase = RequestPhase.WAITING_DECODE
-        self._trace.instant(
-            victim.request_id, SpanKind.PREEMPTED, self._sim.now, self.name
-        )
-        self._trace.begin(
-            victim.request_id, SpanKind.DECODE_QUEUE, self._sim.now, self.name
-        )
-        self._waiting.appendleft(victim)
-        self.preemptions += 1

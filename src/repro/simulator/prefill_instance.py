@@ -32,8 +32,7 @@ from .metrics import MetricsRegistry
 from .profiler import NULL_PROFILER, Profiler
 from .request import RequestPhase, RequestState
 from .tracing import NULL_TRACER, SpanKind, Tracer
-from ..latency.memo import PrefillBatchTimer
-from ..latency.parallel import prefill_times
+from ..latency.parallel import PrefillBatchTimer
 from ..latency.prefill import saturation_length
 from ..scheduling.batch import BatchPolicy, PrefillChunk, make_batch_policy
 from ..scheduling.config import SchedulingConfig
@@ -64,9 +63,6 @@ class PrefillInstance:
         tracer: Optional lifecycle tracer receiving queue/exec spans.
         profiler: Optional critical-path profiler receiving one exec
             event per executed batch.
-        fast_kernel: Evaluate batch latency through the memoized
-            :class:`PrefillBatchTimer` (bit-identical to the reference
-            path, validation hoisted out of the scheduling loop).
         scheduling: Full policy configuration (:mod:`repro.scheduling`);
             when given, its queue/batch policies and knobs override the
             legacy ``queue_policy`` / ``sjf_aging`` /
@@ -84,7 +80,6 @@ class PrefillInstance:
         name: str = "prefill-0",
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
-        fast_kernel: bool = True,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         batch_policy = "token_budget"
@@ -118,9 +113,6 @@ class PrefillInstance:
         self._jitter = spec.make_jitter(name)
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
-        # Memoized batch latency needs no observability gate: it defers
-        # no state, so spans/profiler events are unchanged either way.
-        self._fast = bool(fast_kernel)
         self._timer = PrefillBatchTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
         )
@@ -270,26 +262,13 @@ class PrefillInstance:
         if not batch:
             # Head-of-line request cannot get KV space; retry on release.
             return
-        if self._fast:
-            batch_tokens = 0
-            squared = 0
-            for entry in batch:
-                length = entry.tokens
-                batch_tokens += length
-                squared += length * length
-            base_request, base_stage = self._timer.times(batch_tokens, float(squared))
-        else:
-            lens = [e.tokens for e in batch]
-            ref = prefill_times(
-                self.spec.model,
-                self.spec.config,
-                self._coeffs,
-                lens,
-                tp_link=self.spec.tp_link,
-                pp_link=self.spec.pp_link,
-            )
-            base_request, base_stage = ref.request_latency, ref.stage_time
-            batch_tokens = sum(lens)
+        batch_tokens = 0
+        squared = 0
+        for entry in batch:
+            length = entry.tokens
+            batch_tokens += length
+            squared += length * length
+        base_request, base_stage = self._timer.times(batch_tokens, float(squared))
         start = self._sim.now
         noise = self._jitter()
         request_latency = base_request * noise

@@ -11,13 +11,13 @@ from repro.core import (
     PlacementSearchStats,
     ReplanController,
     WorkloadProfiler,
-    attainment_at_rate,
     build_system,
     candidate_configs,
     get_intra_node_configs,
     max_goodput,
     place_high_affinity,
     place_low_affinity,
+    run_attainment_trial,
     simu_decode,
     simu_prefill,
 )
@@ -47,12 +47,12 @@ def colocated_factory(spec):
 
 class TestGoodputSearch:
     def test_attainment_decreases_with_rate(self, tiny_spec, fast_dataset, loose_slo):
-        low = attainment_at_rate(
+        low = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, 1.0, loose_slo, num_requests=80
-        )
-        high = attainment_at_rate(
+        ).attainment
+        high = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, 400.0, loose_slo, num_requests=80
-        )
+        ).attainment
         assert low > high
 
     def test_max_goodput_is_sustainable(self, tiny_spec, fast_dataset, loose_slo):
@@ -66,10 +66,10 @@ class TestGoodputSearch:
         assert result.attainment_at_goodput >= 0.9
         # Just above goodput, attainment should drop below target within
         # the search's own trace.
-        above = attainment_at_rate(
+        above = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, result.goodput * 2.5,
             loose_slo, num_requests=80,
-        )
+        ).attainment
         assert above < 0.9
 
     def test_impossible_slo_returns_zero(self, tiny_spec, fast_dataset):
@@ -287,13 +287,11 @@ class TestMinSLOScale:
         assert trials >= 2
         assert 0.05 <= scale <= 4.0
         # Just below the found scale the system must fail.
-        from repro.core import attainment_at_rate
-
         if scale > 0.06:
-            att = attainment_at_rate(
+            att = run_attainment_trial(
                 colocated_factory(tiny_spec), fast_dataset, 5.0,
                 base.scaled(scale * 0.7), num_requests=60,
-            )
+            ).attainment
             assert att < 0.9
 
     def test_impossible_slo_inf(self, tiny_spec, fast_dataset):

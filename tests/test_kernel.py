@@ -1,23 +1,31 @@
 """Fast-forward kernel parity suite.
 
-The kernel (macro-stepped decode runs + memoized batch latency, see
-DESIGN.md §4h) promises *bitwise* equality with the per-step reference
-path. Every test here runs the same workload twice — ``fast_kernel=True``
-and ``fast_kernel=False`` — and asserts exact float equality on request
-records, token timestamps, and instance counters. No tolerances.
+The decode engine plans macro runs of steps (DESIGN.md §4h); the
+per-step reference is the same engine with every run capped at one step
+(``fast_kernel=False``, or any tracer/profiler/metrics observer). Every
+scenario here runs both ways and compares a digest of the request
+records, token timestamps and instance counters against a digest pinned
+from the former dedicated per-step engine, so the capped and uncapped
+runs must both reproduce it bit for bit. No tolerances.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.hardware import A100_80GB, ETHERNET_25G
-from repro.latency import ParallelismConfig, coefficients_from_roofline
-from repro.latency.memo import DecodeStepTimer, PrefillBatchTimer
-from repro.latency.parallel import decode_times, prefill_times
+from repro.latency import (
+    DecodeStepTimer,
+    ParallelismConfig,
+    PrefillBatchTimer,
+    coefficients_from_roofline,
+    decode_times,
+    prefill_times,
+)
 from repro.models.memory import compute_memory_budget
 from repro.serving import (
     ColocatedSystem,
@@ -31,6 +39,7 @@ from repro.simulator.colocated_instance import POLICIES
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.request import Request, RequestPhase, RequestState
+from repro.simulator.telemetry import TelemetryRecorder
 from repro.simulator.tracing import Tracer
 from repro.workload import fixed_length_dataset, generate_trace
 from repro.workload.datasets import SyntheticDataset
@@ -93,25 +102,52 @@ class TestMemoTimers:
 
 
 # ----------------------------------------------------------------------
-# System-level parity: identical records fast vs. slow.
+# System-level parity: capped and uncapped runs match pinned records.
 # ----------------------------------------------------------------------
+def _digest(value) -> str:
+    """Short SHA-256 of ``repr(value)``; float reprs round-trip exactly."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+#: Digests of ``_parity``/``_drive_decode``/``_drive_midstream``/
+#: ``_counter_series`` outputs recorded from the per-step reference
+#: engine (``fast_kernel=False``) before it was folded into capped runs.
+PINNED = {
+    "decode_only": "f1865e2b11ae9502",
+    "prefill_only": "77063353977a79ce",
+    "disaggregated_pull": "37b5ea12b0fc4e62",
+    "disaggregated_push": "37b5ea12b0fc4e62",
+    "disaggregated_jitter_pp": "a0ab39d7718e9996",
+    "colocated_prefill_priority": "e18b088dde646b34",
+    "colocated_decode_priority": "653c131a6466d68b",
+    "colocated_combined": "11da90510fa11629",
+    "colocated_chunked": "495ff3a389ebb60f",
+    "decode_reserved": "b2e131e6a756f618",
+    "decode_jitter": "df9cf6efaeabe109",
+    "decode_fail": "87ca58ae860cc1c8",
+    "decode_midstream": "86a7a59d8245e877",
+    "counter_series": "911d3045ff0f97d1",
+}
+
+
 def _records(result):
     return sorted(
         (r.request_id, r.ttft, r.tpot, r.finish_time) for r in result.records
     )
 
 
-def _parity(make_system, trace):
-    """Run ``trace`` fast and slow; assert bitwise-identical records."""
-    results = {}
-    for fast in (True, False):
-        sim = Simulation()
-        system = make_system(sim, fast)
-        results[fast] = simulate_trace(system, trace)
-    assert results[True].completed == results[False].completed
-    assert results[True].unfinished == results[False].unfinished
-    assert _records(results[True]) == _records(results[False])
-    return results[True]
+def _run_system(make_system, trace, fast):
+    system = make_system(Simulation(), fast)
+    result = simulate_trace(system, trace)
+    return result.completed, result.unfinished, _records(result)
+
+
+def _parity(make_system, trace, pinned):
+    """Run ``trace`` capped and uncapped; both must match the pinned digest."""
+    runs = [_run_system(make_system, trace, fast) for fast in (True, False)]
+    for run in runs:
+        assert _digest(run) == PINNED[pinned]
+    return runs[0]
 
 
 @pytest.fixture
@@ -126,29 +162,29 @@ def trace(rng):
 
 class TestServingParity:
     def test_decode_only(self, tiny_spec, trace):
-        res = _parity(
+        completed, _, _ = _parity(
             lambda sim, fast: DecodeOnlySystem(sim, tiny_spec, fast_kernel=fast),
-            trace,
+            trace, "decode_only",
         )
-        assert res.completed == len(trace)
+        assert completed == len(trace)
 
     def test_prefill_only(self, tiny_spec, trace):
         _parity(
-            lambda sim, fast: PrefillOnlySystem(sim, tiny_spec, fast_kernel=fast),
-            trace,
+            lambda sim, fast: PrefillOnlySystem(sim, tiny_spec),
+            trace, "prefill_only",
         )
 
     @pytest.mark.parametrize("mode", ["pull", "push"])
     def test_disaggregated(self, tiny_spec, trace, mode):
-        res = _parity(
+        completed, _, _ = _parity(
             lambda sim, fast: DisaggregatedSystem(
                 sim, tiny_spec, tiny_spec, num_prefill=2, num_decode=2,
                 transfer_link=ETHERNET_25G, transfer_mode=mode,
                 fast_kernel=fast,
             ),
-            trace,
+            trace, f"disaggregated_{mode}",
         )
-        assert res.completed == len(trace)
+        assert completed == len(trace)
 
     def test_disaggregated_jitter_and_pp(self, tiny_model, trace):
         spec = InstanceSpec(
@@ -158,7 +194,7 @@ class TestServingParity:
             lambda sim, fast: DisaggregatedSystem(
                 sim, spec, spec, fast_kernel=fast
             ),
-            trace,
+            trace, "disaggregated_jitter_pp",
         )
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -167,7 +203,7 @@ class TestServingParity:
             lambda sim, fast: ColocatedSystem(
                 sim, tiny_spec, num_replicas=2, policy=policy, fast_kernel=fast
             ),
-            trace,
+            trace, f"colocated_{policy}",
         )
 
     def test_sanitizer_clean_fast_run(self, tiny_spec, trace):
@@ -182,7 +218,7 @@ class TestServingParity:
 
 
 # ----------------------------------------------------------------------
-# Decode-instance parity under preemption, jitter, and failures.
+# Decode-instance parity under queueing, jitter, failures, and submits.
 # ----------------------------------------------------------------------
 def _small_gpu(model, target_tokens):
     """A GPU sized so the decode KV pool holds ~``target_tokens``."""
@@ -200,14 +236,12 @@ def _small_gpu(model, target_tokens):
     return dataclasses.replace(A100_80GB, memory_bytes=lo)
 
 
-def _drive_decode(spec, fast, *, n=60, seed=7, reserve=True, fail_at=None):
+def _drive_decode(spec, fast, *, n=60, seed=7, fail_at=None):
     """Feed ``n`` decode requests; return (records, counters, done-count)."""
     rng = np.random.default_rng(seed)
     sim = Simulation()
     done = []
-    inst = DecodeInstance(
-        sim, spec, done.append, reserve_full_context=reserve, fast_kernel=fast
-    )
+    inst = DecodeInstance(sim, spec, done.append, fast_kernel=fast)
     t = 0.0
     for i in range(n):
         t += float(rng.exponential(0.02))
@@ -240,87 +274,106 @@ def _drive_decode(spec, fast, *, n=60, seed=7, reserve=True, fail_at=None):
     return records, counters, len(done)
 
 
-class TestDecodeInstanceParity:
-    def test_optimistic_admission_preempts_identically(self, tiny_model):
-        gpu = _small_gpu(tiny_model, 4000)
-        spec = InstanceSpec(
-            model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu
-        )
-        fast = _drive_decode(spec, True, reserve=False)
-        slow = _drive_decode(spec, False, reserve=False)
-        assert fast == slow
-        assert fast[1][1] > 0  # the scenario really exercises preemption
+def _drive_midstream(spec, fast):
+    """A submit scheduled after a run was planned lands mid-run."""
+    sim = Simulation()
+    done = []
+    inst = DecodeInstance(
+        sim, spec, lambda s: done.append(s.request_id), fast_kernel=fast
+    )
+    first = RequestState(
+        request=Request(request_id=0, arrival_time=0.0,
+                        input_len=100, output_len=50),
+        phase=RequestPhase.WAITING_DECODE, generated=1,
+    )
+    inst.submit(first)
+    second = RequestState(
+        request=Request(request_id=1, arrival_time=0.0,
+                        input_len=100, output_len=5),
+        phase=RequestPhase.WAITING_DECODE, generated=1,
+    )
+    sim.schedule(0.05, lambda: inst.submit(second))
+    sim.run()
+    return done, tuple(first.token_times), tuple(second.token_times)
 
+
+class TestDecodeInstanceParity:
     def test_reserved_admission_queues_identically(self, tiny_model):
         gpu = _small_gpu(tiny_model, 4000)
         spec = InstanceSpec(
             model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu
         )
-        fast = _drive_decode(spec, True, reserve=True)
-        slow = _drive_decode(spec, False, reserve=True)
-        assert fast == slow
+        for fast in (True, False):
+            assert _digest(_drive_decode(spec, fast)) == PINNED["decode_reserved"]
 
     def test_jitter_stream_identical(self, tiny_model):
         spec = InstanceSpec(
             model=tiny_model, config=ParallelismConfig(1, 1), jitter_sigma=0.08
         )
-        assert _drive_decode(spec, True) == _drive_decode(spec, False)
-
-    def test_jitter_with_preemption(self, tiny_model):
-        gpu = _small_gpu(tiny_model, 4000)
-        spec = InstanceSpec(
-            model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu,
-            jitter_sigma=0.05,
-        )
-        fast = _drive_decode(spec, True, reserve=False)
-        slow = _drive_decode(spec, False, reserve=False)
-        assert fast == slow
+        for fast in (True, False):
+            assert _digest(_drive_decode(spec, fast)) == PINNED["decode_jitter"]
 
     def test_fail_mid_run_identical(self, tiny_spec):
-        fast = _drive_decode(tiny_spec, True, fail_at=0.25)
-        slow = _drive_decode(tiny_spec, False, fail_at=0.25)
-        assert fast == slow
+        for fast in (True, False):
+            got = _drive_decode(tiny_spec, fast, fail_at=0.25)
+            assert _digest(got) == PINNED["decode_fail"]
 
     def test_midstream_submit_truncates_run(self, tiny_spec):
         """The regression scenario: an event scheduled *after* a macro run
 
         was planned submits mid-run; the run must be truncated so the
-        newcomer is admitted at the same boundary the per-step path
-        would use.
+        newcomer is admitted at the same boundary a one-step run would
+        use.
         """
-        results = {}
         for fast in (True, False):
-            sim = Simulation()
-            done = []
-            inst = DecodeInstance(
-                sim, tiny_spec, lambda s: done.append(s.request_id),
-                fast_kernel=fast,
-            )
-            first = RequestState(
-                request=Request(request_id=0, arrival_time=0.0,
-                                input_len=100, output_len=50),
-                phase=RequestPhase.WAITING_DECODE, generated=1,
-            )
-            inst.submit(first)
-            second = RequestState(
-                request=Request(request_id=1, arrival_time=0.0,
-                                input_len=100, output_len=5),
-                phase=RequestPhase.WAITING_DECODE, generated=1,
-            )
-            sim.schedule(0.05, lambda: inst.submit(second))
-            sim.run()
-            results[fast] = (
-                done,
-                tuple(first.token_times),
-                tuple(second.token_times),
-            )
-        assert results[True] == results[False]
-        assert results[True][0] == [1, 0]  # short newcomer finishes first
+            got = _drive_midstream(tiny_spec, fast)
+            assert _digest(got) == PINNED["decode_midstream"]
+            assert got[0] == [1, 0]  # short newcomer finishes first
 
 
 # ----------------------------------------------------------------------
-# Observability forces the exact per-step path.
+# Observability caps runs at one step, reproducing per-step artifacts.
 # ----------------------------------------------------------------------
+_SAMPLED_COUNTERS = (
+    "repro_batches_total",
+    "repro_busy_seconds_total",
+    "repro_tokens_total",
+)
+
+
+def _counter_series(spec, trace, fast):
+    """Counter samples of an instrumented disaggregated run.
+
+    The cadence is deliberately unaligned with step boundaries, so the
+    samples pin *when* each counter moves inside a step (batches and
+    busy time at step start, tokens at step end).
+    """
+    sim = Simulation()
+    system = DisaggregatedSystem(
+        sim, spec, spec, num_prefill=2, num_decode=2, fast_kernel=fast
+    )
+    registry = MetricsRegistry()
+    system.instrument(registry)
+    recorder = TelemetryRecorder(sim, interval=0.0137)
+    for phase, pool in (
+        ("prefill", system.prefill_instances),
+        ("decode", system.decode_instances),
+    ):
+        for inst in pool:
+            labels = {"phase": phase, "instance": inst.name}
+            for name in _SAMPLED_COUNTERS:
+                metric = registry.get(name, labels)
+                recorder.register(
+                    f"{name}{{{inst.name}}}", lambda m=metric: m.value
+                )
+    recorder.start(until=trace.duration + 2.0)
+    simulate_trace(system, trace)
+    return [
+        (name, tuple(recorder.series(name).times), tuple(recorder.series(name).values))
+        for name in recorder.names()
+    ]
+
+
 class TestObservabilityFallback:
     def test_tracer_disables_fast_path(self, tiny_spec):
         sim = Simulation()
@@ -328,19 +381,24 @@ class TestObservabilityFallback:
         inst = DecodeInstance(
             sim, tiny_spec, lambda s: None, tracer=tracer, fast_kernel=True
         )
-        assert not inst._fast
+        assert inst._capped
 
     def test_instrument_disables_fast_path(self, tiny_spec):
         sim = Simulation()
         inst = DecodeInstance(sim, tiny_spec, lambda s: None, fast_kernel=True)
-        assert inst._fast
+        assert not inst._capped
         inst.instrument(MetricsRegistry())
-        assert not inst._fast
+        assert inst._capped
 
     def test_flag_off_disables_fast_path(self, tiny_spec):
         sim = Simulation()
         inst = DecodeInstance(sim, tiny_spec, lambda s: None, fast_kernel=False)
-        assert not inst._fast
+        assert inst._capped
+
+    def test_instrumented_counter_series_pinned(self, tiny_spec, trace):
+        for fast in (True, False):
+            got = _counter_series(tiny_spec, trace, fast)
+            assert _digest(got) == PINNED["counter_series"]
 
 
 # ----------------------------------------------------------------------

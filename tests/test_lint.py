@@ -545,7 +545,7 @@ class TestPERF001:
     def test_positive_sum_in_root(self):
         findings = run("""
             class Instance:
-                def _run_step(self):
+                def _plan_run(self):
                     contexts = [s.context_len for s in self._active]
                     return sum(contexts)
         """, select=["PERF001"])
@@ -554,7 +554,7 @@ class TestPERF001:
     def test_positive_sum_in_transitive_callee(self):
         findings = run("""
             class Instance:
-                def _finish_step(self):
+                def _finish_run(self):
                     self._report()
 
                 def _report(self):
@@ -568,7 +568,7 @@ class TestPERF001:
     def test_positive_sum_in_nested_closure_of_root(self):
         findings = run("""
             class Instance:
-                def _kv_safe_steps(self, limit):
+                def _plan_run(self, limit):
                     def extra(growth):
                         return sum(t + growth for t in self._held)
                     return extra(limit)
@@ -578,7 +578,7 @@ class TestPERF001:
     def test_negative_sum_in_unreachable_function(self):
         findings = run("""
             class Instance:
-                def _run_step(self):
+                def _plan_run(self):
                     self._count += 1
 
                 def summarize(self):
@@ -599,7 +599,7 @@ class TestPERF001:
 
     def test_negative_out_of_scope_module(self):
         findings = run("""
-            def _run_step(batch):
+            def _plan_run(batch):
                 return sum(b.tokens for b in batch)
         """, module="repro.analysis.fixture", select=["PERF001"])
         assert findings == []
@@ -607,7 +607,7 @@ class TestPERF001:
     def test_suppression(self):
         findings = run("""
             class Instance:
-                def _sync_to_now(self):
+                def _materialize(self):
                     # reprolint: disable=PERF001 -- cold failure branch
                     return sum(self._pending)
         """, select=["PERF001"])
@@ -715,14 +715,14 @@ def run_modules(select=None, **sources):
 
 
 class TestCrossModuleReachability:
-    def test_perf001_sum_in_other_module_called_from_run_step(self):
+    def test_perf001_sum_in_other_module_called_from_plan_run(self):
         findings = run_modules(
             select=["PERF001"],
             repro__simulator__inst="""
                 from repro.latency_model.steps import step_time
 
                 class Instance:
-                    def _run_step(self):
+                    def _plan_run(self):
                         return step_time(self._lens)
             """,
             repro__latency_model__steps="""
