@@ -423,7 +423,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
     try:
-        engine = LintEngine(select=select, cache_dir=args.cache_dir or None)
+        engine = LintEngine(select=select)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -455,29 +455,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("repro lint: no paths given (try: src tests)", file=sys.stderr)
         return EXIT_USAGE
     findings, checked = engine.lint_paths(args.paths)
-    if args.baseline == "write":
-        from .lint.baseline import write_baseline
-
-        count = write_baseline(findings, args.baseline_file)
-        print(
-            f"repro lint: baseline written to {args.baseline_file} "
-            f"({count} entr{'y' if count == 1 else 'ies'})",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    if args.baseline == "check":
-        from .lint.baseline import filter_findings, load_baseline
-
-        known = load_baseline(args.baseline_file)
-        new = filter_findings(findings, known)
-        suppressed = len(findings) - len(new)
-        findings = new
-        if suppressed:
-            print(
-                f"repro lint: {suppressed} finding(s) covered by baseline "
-                f"{args.baseline_file}",
-                file=sys.stderr,
-            )
     if args.format == "sarif":
         from .lint.sarif import findings_to_sarif
 
@@ -685,15 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--explain", default="", metavar="RULE",
                       help="print a rule's rationale, example violation, "
                            "and suppression syntax, then exit")
-    lint.add_argument("--baseline", choices=("write", "check"), default="",
-                      help="write: snapshot current findings; check: fail "
-                           "only on findings not in the snapshot")
-    lint.add_argument("--baseline-file", default="LINT_BASELINE.json",
-                      help="baseline snapshot path (default: "
-                           "LINT_BASELINE.json)")
-    lint.add_argument("--cache-dir", default="",
-                      help="directory for the call-graph disk cache, keyed "
-                           "on a source hash (e.g. .lint-cache)")
 
     analyze = sub.add_parser("analyze", help="latency-model analysis of a model")
     analyze.add_argument("--model", default="opt-13b")

@@ -19,7 +19,7 @@ UNIT001, seconds-vs-ms-vs-tokens mixing). Run it via::
     python -m repro.cli lint src tests
     python -m repro.cli lint --format json --select DET001,SIM001 src
     python -m repro.cli lint --explain TS001
-    python -m repro.cli lint --baseline check src tests
+    python -m repro.cli lint --format sarif src tests > reprolint.sarif
 
 Suppress a deliberate exception on the offending line (with a reason)::
 

@@ -29,20 +29,31 @@ exactly one project function has the called method name, the edge is
 added (deterministic, and only widens reachability); ambiguous names
 create no edge. Known blind spots are documented in DESIGN.md §4i.
 
-Builds are cached two ways: an in-process memo keyed on the content
-hash of every source file (so repeated engine runs in one process are
-free), and an optional on-disk JSON cache (``--cache-dir``) storing the
-resolved edges keyed on the same hash for CI reuse.
+Builds are memoized in-process on the content hash of every source
+file, so repeated engine runs over the same sources share one graph.
+Rules cache what they derive from a graph (reachable sets, typestate
+summaries) on the graph itself via :meth:`ProjectGraph.derived`, so a
+derived result can never outlive or be served to another graph.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    cast,
+)
 
 __all__ = [
     "CallRecord",
@@ -54,6 +65,8 @@ __all__ = [
     "build_from_sources",
     "build_project",
 ]
+
+_T = TypeVar("_T")
 
 #: Name of the pseudo-function holding a module's top-level statements.
 MODULE_NODE = "<module>"
@@ -176,7 +189,7 @@ class ProjectGraph:
         self.callable_args: Tuple[CallableArg, ...] = ()
         self.call_records: Dict[str, Dict[Tuple[int, int], CallRecord]] = {}
         self.source_hash: str = ""
-        self._reach_cache: "Dict[frozenset[str], frozenset[str]]" = {}
+        self._derived: Dict[Hashable, object] = {}
 
     # -- queries -------------------------------------------------------
     def functions_in_module(self, module: str) -> List[FunctionNode]:
@@ -193,12 +206,10 @@ class ProjectGraph:
 
     def reachable_from(self, seeds: Iterable[str]) -> "frozenset[str]":
         """Qualnames transitively reachable from ``seeds`` (inclusive)."""
-        key = frozenset(seed for seed in seeds if seed in self.functions)
-        cached = self._reach_cache.get(key)
-        if cached is not None:
-            return cached
         seen: "set[str]" = set()
-        frontier: List[str] = sorted(key)
+        frontier: List[str] = sorted(
+            {seed for seed in seeds if seed in self.functions}
+        )
         while frontier:
             current = frontier.pop()
             if current in seen:
@@ -207,9 +218,19 @@ class ProjectGraph:
             for callee in self.edges.get(current, ()):
                 if callee not in seen:
                     frontier.append(callee)
-        result = frozenset(seen)
-        self._reach_cache[key] = result
-        return result
+        return frozenset(seen)
+
+    def derived(self, key: Hashable, compute: "Callable[[ProjectGraph], _T]") -> _T:
+        """``compute(self)``, computed once per graph and cached under ``key``.
+
+        The one cache for data rules derive from the graph: it lives
+        and dies with the graph, so a result can never be served to a
+        different graph (unlike a rule-side memo keyed on ``id(graph)``,
+        which CPython may reuse once the graph is freed).
+        """
+        if key not in self._derived:
+            self._derived[key] = compute(self)
+        return cast(_T, self._derived[key])
 
     def calls_in(self, qualname: str) -> Dict[Tuple[int, int], CallRecord]:
         return self.call_records.get(qualname, {})
@@ -514,9 +535,6 @@ class _Builder:
             and name not in _BUILTIN_METHODS
         }
 
-    def finish(self) -> ProjectGraph:
-        return self.graph
-
 
 def _dotted(node: Optional[ast.AST]) -> Optional[str]:
     parts: List[str] = []
@@ -740,16 +758,13 @@ class _FnScope:
 
 
 # ----------------------------------------------------------------------
-# Build entry points + caching
+# Build entry points
 # ----------------------------------------------------------------------
 
 _MEMO: Dict[str, ProjectGraph] = {}
 
 
-def build_project(
-    entries: Sequence[Tuple[str, str, str]],
-    cache_dir: "str | Path | None" = None,
-) -> ProjectGraph:
+def build_project(entries: Sequence[Tuple[str, str, str]]) -> ProjectGraph:
     """Build (or reuse) the graph for ``(module, path, source)`` entries."""
     builder = _Builder(entries)
     cached = _MEMO.get(builder.graph.source_hash)
@@ -757,13 +772,8 @@ def build_project(
         return cached
     builder.index()
     builder.type_attributes()
-    disk = _load_disk_cache(cache_dir, builder.graph.source_hash)
-    if disk is not None:
-        _apply_disk_cache(builder.graph, disk)
-    else:
-        builder.build_edges()
-        _write_disk_cache(cache_dir, builder.graph)
-    graph = builder.finish()
+    builder.build_edges()
+    graph = builder.graph
     _MEMO.clear()  # keep at most one graph alive
     _MEMO[graph.source_hash] = graph
     return graph
@@ -775,94 +785,3 @@ def build_from_sources(sources: Mapping[str, str]) -> ProjectGraph:
         (module, f"<{module}>", source) for module, source in sorted(sources.items())
     ]
     return build_project(entries)
-
-
-def _cache_path(cache_dir: "str | Path | None", source_hash: str) -> Optional[Path]:
-    if cache_dir is None:
-        return None
-    return Path(cache_dir) / f"callgraph-{source_hash[:32]}.json"
-
-
-def _load_disk_cache(
-    cache_dir: "str | Path | None", source_hash: str
-) -> "dict[str, object] | None":
-    path = _cache_path(cache_dir, source_hash)
-    if path is None or not path.is_file():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("hash") != source_hash:
-        return None
-    return payload
-
-
-def _apply_disk_cache(graph: ProjectGraph, payload: "dict[str, object]") -> None:
-    edges = payload.get("edges")
-    if isinstance(edges, dict):
-        graph.edges = {
-            str(caller): tuple(str(c) for c in callees)
-            for caller, callees in sorted(edges.items())
-            if isinstance(callees, list)
-        }
-    callable_args = payload.get("callable_args")
-    if isinstance(callable_args, list):
-        graph.callable_args = tuple(
-            CallableArg(caller=str(r[0]), sink=str(r[1]), callee=str(r[2]))
-            for r in callable_args
-            if isinstance(r, list) and len(r) == 3
-        )
-    records = payload.get("call_records")
-    if isinstance(records, dict):
-        out: Dict[str, Dict[Tuple[int, int], CallRecord]] = {}
-        for qualname, table in records.items():
-            if not isinstance(table, dict):
-                continue
-            parsed: Dict[Tuple[int, int], CallRecord] = {}
-            for key, raw in table.items():
-                line_text, _, col_text = str(key).partition(":")
-                if not isinstance(raw, dict):
-                    continue
-                receiver = raw.get("receiver_class")
-                parsed[(int(line_text), int(col_text))] = CallRecord(
-                    line=int(line_text),
-                    col=int(col_text),
-                    callees=tuple(str(c) for c in raw.get("callees", [])),
-                    receiver_class=str(receiver) if receiver is not None else None,
-                    bound=bool(raw.get("bound", False)),
-                )
-            out[str(qualname)] = parsed
-        graph.call_records = out
-
-
-def _write_disk_cache(cache_dir: "str | Path | None", graph: ProjectGraph) -> None:
-    path = _cache_path(cache_dir, graph.source_hash)
-    if path is None:
-        return
-    payload = {
-        "hash": graph.source_hash,
-        "edges": {
-            caller: list(callees) for caller, callees in sorted(graph.edges.items())
-        },
-        "callable_args": [
-            [record.caller, record.sink, record.callee]
-            for record in graph.callable_args
-        ],
-        "call_records": {
-            qualname: {
-                f"{line}:{col}": {
-                    "callees": list(record.callees),
-                    "receiver_class": record.receiver_class,
-                    "bound": record.bound,
-                }
-                for (line, col), record in sorted(table.items())
-            }
-            for qualname, table in sorted(graph.call_records.items())
-        },
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=0, sort_keys=True), encoding="utf-8")
-    except OSError:
-        pass  # caching is best-effort; the build already succeeded

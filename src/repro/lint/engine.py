@@ -377,11 +377,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
 class LintEngine:
     """Configured lint run: selected rules over files or source text."""
 
-    def __init__(
-        self,
-        select: "Sequence[str] | None" = None,
-        cache_dir: "str | Path | None" = None,
-    ) -> None:
+    def __init__(self, select: "Sequence[str] | None" = None) -> None:
         registry = all_rules()
         if select:
             unknown = [name for name in select if name not in registry]
@@ -394,7 +390,6 @@ class LintEngine:
         else:
             names = sorted(registry)
         self.rules: "list[Rule]" = [registry[name]() for name in names]
-        self._cache_dir = cache_dir
 
     # ------------------------------------------------------------------
     def lint_source(
@@ -426,7 +421,7 @@ class LintEngine:
             )
             for module in sorted(sources)
         ]
-        project = build_project(entries, cache_dir=self._cache_dir)
+        project = build_project(entries)
         findings: "list[Finding]" = []
         for module, path, source in entries:
             findings.extend(self._lint_one(source, path, module, project))
@@ -497,7 +492,7 @@ class LintEngine:
                     file_path.read_text(encoding="utf-8"),
                 )
             )
-        project = build_project(entries, cache_dir=self._cache_dir)
+        project = build_project(entries)
         findings: "list[Finding]" = []
         for module, path, source in entries:
             findings.extend(self._lint_one(source, path, module, project))

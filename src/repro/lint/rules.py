@@ -372,24 +372,16 @@ class FloatSumRule(Rule):
     name = "DET004"
     summary = "float accumulation in hot paths must use math.fsum"
 
-    def __init__(self) -> None:
-        self._reach: "dict[int, frozenset[str]]" = {}
-
     def applies_to(self, ctx: ModuleContext) -> bool:
         return ctx.module.startswith("repro.")
 
-    def _reachable(self, project: "ProjectGraph") -> "frozenset[str]":
-        key = id(project)
-        cached = self._reach.get(key)
-        if cached is None:
-            seeds = [
-                qualname
-                for qualname, fn in project.functions.items()
-                if _is_hot_reporting_module(fn.module)
-            ]
-            cached = project.reachable_from(seeds)
-            self._reach[key] = cached
-        return cached
+    @staticmethod
+    def _reachable(project: "ProjectGraph") -> "frozenset[str]":
+        return project.reachable_from(
+            qualname
+            for qualname, fn in project.functions.items()
+            if _is_hot_reporting_module(fn.module)
+        )
 
     def _in_scope(self, ctx: ModuleContext) -> bool:
         if _is_hot_reporting_module(ctx.module):
@@ -397,7 +389,8 @@ class FloatSumRule(Rule):
         # Cross-module: a helper elsewhere whose sum feeds a hot module.
         if ctx.project is None:
             return False
-        return ctx.scope_qualname() in self._reachable(ctx.project)
+        reachable = ctx.project.derived(self.name, self._reachable)
+        return ctx.scope_qualname() in reachable
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> _Yield:
         if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
@@ -874,9 +867,6 @@ class HotPathComprehensionRule(Rule):
     name = "OBS001"
     summary = "no comprehensions in profiler/metric per-event hot paths"
 
-    def __init__(self) -> None:
-        self._reach: "dict[int, frozenset[str]]" = {}
-
     def applies_to(self, ctx: ModuleContext) -> bool:
         return ctx.module.startswith("repro.")
 
@@ -890,31 +880,27 @@ class HotPathComprehensionRule(Rule):
             )
         )
 
-    def _reachable(self, project: "ProjectGraph") -> "frozenset[str]":
-        key = id(project)
-        cached = self._reach.get(key)
-        if cached is None:
-            seeds = [
-                qualname
-                for qualname, fn in project.functions.items()
-                if self._is_seed(fn)
-            ]
-            # Callables registered as metric read callbacks run on every
-            # collection pass — same budget as the record methods.
-            seeds.extend(
-                arg.callee
-                for arg in project.callable_args
-                if arg.sink in _CALLBACK_SINKS
-            )
-            cached = project.reachable_from(seeds)
-            self._reach[key] = cached
-        return cached
+    @classmethod
+    def _reachable(cls, project: "ProjectGraph") -> "frozenset[str]":
+        seeds = [
+            qualname
+            for qualname, fn in project.functions.items()
+            if cls._is_seed(fn)
+        ]
+        # Callables registered as metric read callbacks run on every
+        # collection pass — same budget as the record methods.
+        seeds.extend(
+            arg.callee
+            for arg in project.callable_args
+            if arg.sink in _CALLBACK_SINKS
+        )
+        return project.reachable_from(seeds)
 
     def visit_Module(self, node: ast.Module, ctx: ModuleContext) -> _Yield:
         project = ctx.project
         if project is None:
             return
-        hot = self._reachable(project)
+        hot = project.derived(self.name, self._reachable)
         for fn in project.functions_in_module(ctx.module):
             if fn.qualname not in hot or fn.node is None:
                 continue
@@ -1008,37 +994,29 @@ class DecodeLoopSumRule(Rule):
     name = "PERF001"
     summary = "no sum() reductions reachable from the decode step loop"
 
-    def __init__(self) -> None:
-        self._reach: "dict[int, frozenset[str]]" = {}
-
     def applies_to(self, ctx: ModuleContext) -> bool:
         return ctx.module.startswith("repro.")
 
-    def _reachable(self, project: "ProjectGraph") -> "frozenset[str]":
-        key = id(project)
-        cached = self._reach.get(key)
-        if cached is None:
-            seeds = [
-                qualname
-                for qualname, fn in project.functions.items()
-                if (
-                    fn.name in _DECODE_LOOP_ROOTS
-                    and fn.module.startswith("repro.simulator")
-                )
-                or (
-                    fn.name in _SCHED_LOOP_ROOTS
-                    and fn.module.startswith("repro.scheduling")
-                )
-            ]
-            cached = project.reachable_from(seeds)
-            self._reach[key] = cached
-        return cached
+    @staticmethod
+    def _reachable(project: "ProjectGraph") -> "frozenset[str]":
+        return project.reachable_from(
+            qualname
+            for qualname, fn in project.functions.items()
+            if (
+                fn.name in _DECODE_LOOP_ROOTS
+                and fn.module.startswith("repro.simulator")
+            )
+            or (
+                fn.name in _SCHED_LOOP_ROOTS
+                and fn.module.startswith("repro.scheduling")
+            )
+        )
 
     def visit_Module(self, node: ast.Module, ctx: ModuleContext) -> _Yield:
         project = ctx.project
         if project is None:
             return
-        reachable = self._reachable(project)
+        reachable = project.derived(self.name, self._reachable)
         for fn in project.functions_in_module(ctx.module):
             if fn.qualname not in reachable or fn.node is None:
                 continue

@@ -577,9 +577,6 @@ class _TypestateRule(Rule):
 
     protocol: Protocol
 
-    def __init__(self) -> None:
-        self._cache: "Dict[int, Tuple[ProjectGraph, Dict[str, List[Tuple[ast.AST, str]]]]]" = {}
-
     def applies_to(self, ctx: ModuleContext) -> bool:
         return ctx.module.startswith("repro.")
 
@@ -587,11 +584,10 @@ class _TypestateRule(Rule):
         project = ctx.project
         if project is None:
             return
-        cached = self._cache.get(id(project))
-        if cached is None or cached[0] is not project:
-            cached = (project, _analyze(project, self.protocol))
-            self._cache = {id(project): cached}
-        for loc, message in cached[1].get(ctx.module, []):
+        per_module = project.derived(
+            self.name, lambda graph: _analyze(graph, self.protocol)
+        )
+        for loc, message in per_module.get(ctx.module, []):
             yield loc, message
 
 

@@ -132,15 +132,31 @@ def _annotation_dimension(annotation: "ast.expr | None") -> Optional[str]:
     return None
 
 
-class _Bindings:
-    """Annotation-pinned dimensions visible at the current node."""
+def _module_annotations(tree: ast.Module) -> Dict[str, str]:
+    """Dimensions pinned by ``name: T`` annotations anywhere in a module.
 
-    def __init__(self, ctx: ModuleContext) -> None:
-        self._by_name: Dict[str, str] = {}
+    Nested scopes included; the first annotation in breadth-first order
+    wins.
+    """
+    out: Dict[str, str] = {}
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+            dim = _annotation_dimension(sub.annotation)
+            if dim is not None:
+                out.setdefault(sub.target.id, dim)
+    return out
+
+
+class _Bindings:
+    """Annotation-pinned dimensions visible at the current node: the
+    enclosing function's annotated parameters, then the module's
+    annotated assignments."""
+
+    def __init__(self, ctx: ModuleContext, module_dims: Dict[str, str]) -> None:
+        self._module_dims = module_dims
+        self._params: Dict[str, str] = {}
         fn = ctx.enclosing_function()
-        scopes: "list[ast.AST]" = [ctx.tree]
         if fn is not None:
-            scopes.append(fn)
             args = (
                 list(fn.args.posonlyargs)
                 + list(fn.args.args)
@@ -149,21 +165,11 @@ class _Bindings:
             for arg in args:
                 dim = _annotation_dimension(arg.annotation)
                 if dim is not None:
-                    self._by_name[arg.arg] = dim
-        for scope in scopes:
-            for sub in ast.walk(scope):
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if scope is ctx.tree and sub is not fn:
-                        continue
-                if isinstance(sub, ast.AnnAssign) and isinstance(
-                    sub.target, ast.Name
-                ):
-                    dim = _annotation_dimension(sub.annotation)
-                    if dim is not None:
-                        self._by_name.setdefault(sub.target.id, dim)
+                    self._params[arg.arg] = dim
 
     def get(self, name: str) -> Optional[str]:
-        return self._by_name.get(name)
+        pinned = self._params.get(name)
+        return pinned if pinned is not None else self._module_dims.get(name)
 
 
 def _dimension(expr: ast.expr, bindings: _Bindings) -> Optional[str]:
@@ -253,10 +259,16 @@ class UnitDimensionRule(Rule):
              "repro.scheduling")
         )
 
+    def visit_Module(self, node: ast.Module, ctx: ModuleContext) -> _Yield:
+        # The walk starts at the module root, so this runs before any
+        # other visit in the same module.
+        self._module_dims = _module_annotations(node)
+        return iter(())
+
     def visit_BinOp(self, node: ast.BinOp, ctx: ModuleContext) -> _Yield:
         if not isinstance(node.op, (ast.Add, ast.Sub)):
             return
-        bindings = _Bindings(ctx)
+        bindings = _Bindings(ctx, self._module_dims)
         left = _dimension(node.left, bindings)
         right = _dimension(node.right, bindings)
         if left is not None and right is not None and left != right:
@@ -275,7 +287,7 @@ class UnitDimensionRule(Rule):
     def visit_AugAssign(self, node: ast.AugAssign, ctx: ModuleContext) -> _Yield:
         if not isinstance(node.op, (ast.Add, ast.Sub)):
             return
-        bindings = _Bindings(ctx)
+        bindings = _Bindings(ctx, self._module_dims)
         left = _dimension(node.target, bindings)
         right = _dimension(node.value, bindings)
         if left is not None and right is not None and left != right:
@@ -287,7 +299,7 @@ class UnitDimensionRule(Rule):
             )
 
     def visit_Compare(self, node: ast.Compare, ctx: ModuleContext) -> _Yield:
-        bindings = _Bindings(ctx)
+        bindings = _Bindings(ctx, self._module_dims)
         operands = [node.left] + list(node.comparators)
         for position, op in enumerate(node.ops):
             if not isinstance(op, _COMPARE_OPS):

@@ -8,7 +8,8 @@ touching every engine:
 * :class:`QueuePolicy` — admission order (``fcfs``, ``sjf``, ``edf``)
 * :class:`BatchPolicy` — batch formation (``token_budget``, ``chunked``)
 * :class:`DispatchPolicy` — cross-instance routing (``least_loaded``,
-  ``round_robin``, ``random``, ``power_of_two``)
+  ``round_robin``, ``random``, ``power_of_two``), wrapped for the
+  serving layer by :class:`Dispatcher`
 
 A single frozen :class:`SchedulingConfig` names the triple plus its
 knobs and threads through the simulator engines, serving modes, and the
@@ -31,6 +32,7 @@ from .config import (
     SchedulingConfig,
 )
 from .dispatch import (
+    Dispatcher,
     DispatchPolicy,
     LeastLoadedDispatch,
     PowerOfTwoDispatch,
@@ -56,6 +58,7 @@ __all__ = [
     "ChunkedBatch",
     "PrefillChunk",
     "make_batch_policy",
+    "Dispatcher",
     "DispatchPolicy",
     "LeastLoadedDispatch",
     "RoundRobinDispatch",

@@ -6,18 +6,24 @@ instance" — :class:`LeastLoadedDispatch`, the default. Round-robin and
 random serve the dispatch-policy ablation; power-of-two-choices samples
 two instances and routes to the less loaded one, the classic
 balls-into-bins result that collapses tail queue depth versus random
-at the cost of one extra load probe.
+at the cost of one extra load probe. :class:`Dispatcher` wraps one
+policy for the serving layer, adding the routing counter and its
+metrics export.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .config import DISPATCH_POLICIES
 
+if TYPE_CHECKING:  # pragma: no cover - repro.simulator imports this package
+    from ..simulator.metrics import MetricsRegistry
+
 __all__ = [
+    "Dispatcher",
     "DispatchPolicy",
     "LeastLoadedDispatch",
     "RoundRobinDispatch",
@@ -129,3 +135,43 @@ def make_dispatch_policy(
     if policy == "random":
         return RandomDispatch(rng)
     return PowerOfTwoDispatch(load_fn, rng)
+
+
+class Dispatcher:
+    """Chooses a target instance for each incoming request.
+
+    Args:
+        policy: One of :data:`DISPATCH_POLICIES`.
+        load_fn: Maps an instance to its current load (used by
+            ``least_loaded`` and ``power_of_two``; ties break by
+            instance order / first draw).
+        rng: Required for the ``random`` and ``power_of_two`` policies.
+    """
+
+    def __init__(
+        self,
+        policy: str,
+        load_fn: "Callable[[T], float]",
+        rng: "np.random.Generator | None" = None,
+    ) -> None:
+        self._impl = make_dispatch_policy(policy, load_fn=load_fn, rng=rng)
+        self.policy = policy
+        #: Routing decisions made (instrumentation). Only decisions that
+        #: actually routed a request count: the empty-pool ValueError is
+        #: raised before the counter moves.
+        self.dispatches = 0
+
+    def instrument(self, registry: "MetricsRegistry", pool: str) -> None:
+        """Export the routing-decision counter for this pool."""
+        registry.counter(
+            "repro_dispatch_total", "Routing decisions, by pool and policy",
+            labels={"pool": pool, "policy": self.policy},
+            fn=lambda: self.dispatches,
+        )
+
+    def choose(self, instances: "Sequence[T]") -> T:
+        """Pick the target instance for one request."""
+        if not instances:
+            raise ValueError("no instances to dispatch to")
+        self.dispatches += 1
+        return self._impl.select(instances)

@@ -4,7 +4,6 @@ from .api import APIFrontend, CompletionRequest, CompletionResponse, count_token
 from .base import ServingSystem, SimulationResult, simulate_trace
 from .colocated import ColocatedSystem
 from .disaggregated import DisaggregatedSystem
-from .dispatch import DISPATCH_POLICIES, Dispatcher
 from .phase_only import DecodeOnlySystem, PrefillOnlySystem
 
 __all__ = [
@@ -17,8 +16,6 @@ __all__ = [
     "simulate_trace",
     "ColocatedSystem",
     "DisaggregatedSystem",
-    "DISPATCH_POLICIES",
-    "Dispatcher",
     "DecodeOnlySystem",
     "PrefillOnlySystem",
 ]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ServingSystem
-from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling import Dispatcher, SchedulingConfig
 from ..simulator.colocated_instance import ColocatedInstance
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec

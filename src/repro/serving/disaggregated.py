@@ -18,8 +18,7 @@ from typing import Deque
 import numpy as np
 
 from .base import ServingSystem
-from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling import Dispatcher, SchedulingConfig
 from ..hardware.network import NVLINK, NetworkLink
 from ..latency.comm import kv_cache_bytes
 from ..simulator.decode_instance import DecodeInstance

@@ -15,8 +15,7 @@ These are idealized single-phase engines:
 from __future__ import annotations
 
 from .base import ServingSystem
-from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling import Dispatcher, SchedulingConfig
 from ..simulator.decode_instance import DecodeInstance
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec

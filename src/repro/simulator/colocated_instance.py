@@ -374,9 +374,24 @@ class ColocatedInstance:
                 self.name, "prefill", step_start, self._sim.now,
                 len(batch), batch_tokens,
             )
-        for state in batch:
+        self._complete_prefills(batch, batch_size=len(batch))
+        self._run_iteration()
+
+    def _complete_prefills(
+        self, states: "list[RequestState]", batch_size: int = 0
+    ) -> None:
+        """Move requests whose prompt just finished prefilling to decode.
+
+        A first prefill emits the request's first token as a zero-length
+        ``DECODE_STEP`` span; pure prefill iterations tag it with their
+        ``batch_size``, mixed iterations leave it unset. A recompute
+        after preemption emits nothing. Requests that need no more
+        tokens finish here, the rest join the running set.
+        """
+        for state in states:
             was_preempted = state.request_id in self._recompute_len
             self._recompute_len.pop(state.request_id, None)
+            self._chunk_progress.pop(state.request_id, None)
             state.recompute_len = None
             state.stamp("prefill_end", self._sim.now)
             self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
@@ -388,7 +403,7 @@ class ColocatedInstance:
                     self._sim.now,
                     self._sim.now,
                     self.name,
-                    batch_size=len(batch),
+                    batch_size=batch_size,
                     token_index=0,
                 )
             state.phase = RequestPhase.DECODING
@@ -401,7 +416,6 @@ class ColocatedInstance:
                 self._running.append(state)
                 self._running_ids.add(state.request_id)
                 self._running_context_tokens += state.context_len
-        self._run_iteration()
 
     def _finish_decode(
         self, batch: "list[RequestState]", step_start: float = 0.0
@@ -556,33 +570,7 @@ class ColocatedInstance:
         if not self._alive:
             return  # the replica died mid-iteration; victims re-routed
         self._inflight_prefills = []
-        for state in prefilled:
-            was_preempted = state.request_id in self._recompute_len
-            self._recompute_len.pop(state.request_id, None)
-            self._chunk_progress.pop(state.request_id, None)
-            state.recompute_len = None
-            state.stamp("prefill_end", self._sim.now)
-            self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
-            if not was_preempted and state.generated == 0:
-                state.record_token(self._sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    self._sim.now,
-                    self._sim.now,
-                    self.name,
-                    token_index=0,
-                )
-            state.phase = RequestPhase.DECODING
-            state.stamp("decode_start", self._sim.now)
-            if state.is_finished:
-                self._kv.free(state.request_id)
-                state.phase = RequestPhase.FINISHED
-                self._on_done(state)
-            else:
-                self._running.append(state)
-                self._running_ids.add(state.request_id)
-                self._running_context_tokens += state.context_len
+        self._complete_prefills(prefilled)
         step_tokens = self._advance_decodes(decode_batch, step_start)
         if self._prof.enabled:
             self._prof.record_exec(

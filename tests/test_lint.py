@@ -5,6 +5,7 @@ self-hosting guarantee that the shipped tree lints clean.
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import textwrap
@@ -798,6 +799,50 @@ class TestCrossModuleReachability:
             """,
         )
         assert findings == []
+
+    def test_reused_engine_matches_fresh_engine(self):
+        # One helper, hot in set A and cold in set B. A reused engine
+        # must not carry A's reachable set over to B's graph, even when
+        # B's graph is allocated where A's freed graph used to live.
+        helper = textwrap.dedent("""
+            def helper(records):
+                return sum(r.exec_time for r in records), [r.id for r in records]
+        """)
+        hot = textwrap.dedent("""
+            from repro.y import helper
+
+            class Instance:
+                def _plan_run(self):
+                    return helper(self._active)
+
+                def record_exec(self, batch):
+                    self.events.append(helper(batch))
+        """)
+        report = textwrap.dedent("""
+            from repro.y import helper
+
+            def report(records):
+                return helper(records)
+        """)
+        cold = textwrap.dedent("""
+            from repro.y import helper
+
+            def cold(records):
+                return helper(records)
+        """)
+        set_a = {"repro.simulator.inst": hot, "repro.latency.report": report,
+                 "repro.y": helper}
+        set_b = {"repro.simulator.inst": cold, "repro.y": helper}
+        expected_a = LintEngine().lint_sources(set_a)
+        expected_b = LintEngine().lint_sources(set_b)
+        assert {"DET004", "OBS001", "PERF001"} <= set(rules_of(expected_a))
+        assert expected_b == []
+        engine = LintEngine()
+        for _ in range(50):
+            assert engine.lint_sources(set_a) == expected_a
+            gc.collect()
+            assert engine.lint_sources(set_b) == expected_b
+            gc.collect()
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.scheduling import (
     DISPATCH_POLICIES,
     QUEUE_POLICIES,
     ChunkedBatch,
+    Dispatcher,
     EDFQueue,
     SchedulingConfig,
     TokenBudgetBatch,
@@ -25,7 +26,6 @@ from repro.scheduling import (
     make_queue_policy,
 )
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
-from repro.serving.dispatch import Dispatcher
 from repro.simulator import (
     InstanceSpec,
     PrefillInstance,

@@ -8,11 +8,11 @@ from repro.latency import ParallelismConfig
 from repro.serving import (
     ColocatedSystem,
     DecodeOnlySystem,
-    Dispatcher,
     DisaggregatedSystem,
     PrefillOnlySystem,
     simulate_trace,
 )
+from repro.scheduling import Dispatcher
 from repro.simulator import InstanceSpec, Simulation
 from repro.workload import Request, Trace, fixed_length_dataset, generate_trace
 
