@@ -1,18 +1,18 @@
 """Profiler overhead benchmark: the <5% instrumentation budget.
 
-The critical-path profiler hooks sit on the simulator's hottest paths —
-one ``record_exec`` per executed batch/step, one ``record_transfer``
-per KV migration, pending-interval reconciliation on every pull-queue
-mutation. The design contract (DESIGN §4g) is that enabling them costs
-under 5% wall time over an identical traced run: the hooks append plain
-tuples behind an ``enabled`` guard and never aggregate inline
+The critical-path profiler's observer-bus handlers sit on the
+simulator's hottest paths — one ``on_batch`` per executed batch/step,
+one ``on_transfer_wire`` per KV migration, one ``on_blocked`` on every
+pull-queue mutation. The design contract (DESIGN §4g) is that
+subscribing the profiler costs under 5% wall time over an identical
+traced run: the handlers append plain tuples and never aggregate inline
 (reprolint OBS001 enforces the discipline).
 
 This benchmark proves the contract on a fixed-seed disaggregated
 workload, timing three configurations with min-of-K ``perf_counter``
 (min, not mean — scheduling noise only ever adds time):
 
-* **bare** — no tracer, no profiler (the NULL-object fast path);
+* **bare** — no tracer, no profiler (no bus subscriber);
 * **traced** — tracer only, the pre-existing observability cost;
 * **profiled** — tracer + profiler hooks; the one-shot
   ``build_profile`` analysis pass is timed separately (it runs once

@@ -196,16 +196,48 @@ def _dispatch_rng(
     return None
 
 
-def _make_sim(args: argparse.Namespace) -> "tuple[Simulation, SimSanitizer | None]":
-    """A fresh simulation, sanitized when ``--sanitize`` was passed.
+def _setup_run(
+    args: argparse.Namespace,
+    tracer: "Tracer | None" = None,
+    profiler: "Profiler | None" = None,
+):
+    """The system, trace and sanitizer of a ``trace``/``metrics``/
+    ``profile`` run, described by the shared run flags.
 
-    Lenient (collecting) mode: the run completes and every violation is
+    With ``--sanitize`` the system runs on a lenient (collecting)
+    sanitized simulation: the run completes and every violation is
     reported at the end, turning the exit code nonzero.
     """
-    if getattr(args, "sanitize", False):
-        sanitizer = SimSanitizer(strict=False)
-        return sanitizer.simulation(), sanitizer
-    return Simulation(), None
+    sanitizer = SimSanitizer(strict=False) if args.sanitize else None
+    sim = sanitizer.simulation() if sanitizer is not None else Simulation()
+    model = get_model(args.model)
+    scheduling = _scheduling_from_args(args)
+    rng = _dispatch_rng(scheduling, args.seed)
+    prefill_spec = InstanceSpec(
+        model=model, config=ParallelismConfig(args.prefill_tp, args.prefill_pp)
+    )
+    system: "ColocatedSystem | DisaggregatedSystem"
+    if args.mode == "colocated":
+        system = ColocatedSystem(
+            sim, prefill_spec, num_replicas=args.num_prefill, tracer=tracer,
+            profiler=profiler, scheduling=scheduling, rng=rng,
+        )
+    else:
+        decode_spec = InstanceSpec(
+            model=model, config=ParallelismConfig(args.decode_tp, args.decode_pp)
+        )
+        system = DisaggregatedSystem(
+            sim, prefill_spec, decode_spec,
+            num_prefill=args.num_prefill, num_decode=args.num_decode,
+            tracer=tracer, profiler=profiler, scheduling=scheduling, rng=rng,
+        )
+    if sanitizer is not None:
+        sanitizer.watch_system(system)
+    trace = generate_trace(
+        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
+        rng=np.random.default_rng(args.seed),
+    )
+    return system, trace, sanitizer
 
 
 def _finish_sanitize(sanitizer: "SimSanitizer | None") -> int:
@@ -222,48 +254,8 @@ def _finish_sanitize(sanitizer: "SimSanitizer | None") -> int:
     return EXIT_OK if sanitizer.ok else EXIT_FINDINGS
 
 
-def _build_system(
-    args: argparse.Namespace,
-    sim: Simulation,
-    tracer: "Tracer | None" = None,
-    profiler: "Profiler | None" = None,
-):
-    """Construct the serving system described by the shared run flags."""
-    model = get_model(args.model)
-    scheduling = _scheduling_from_args(args)
-    rng = _dispatch_rng(scheduling, getattr(args, "seed", 0))
-    if args.mode == "disaggregated":
-        prefill_spec = InstanceSpec(
-            model=model, config=ParallelismConfig(args.prefill_tp, args.prefill_pp)
-        )
-        decode_spec = InstanceSpec(
-            model=model, config=ParallelismConfig(args.decode_tp, args.decode_pp)
-        )
-        return DisaggregatedSystem(
-            sim, prefill_spec, decode_spec,
-            num_prefill=args.num_prefill, num_decode=args.num_decode,
-            tracer=tracer, profiler=profiler,
-            scheduling=scheduling, rng=rng,
-        )
-    spec = InstanceSpec(
-        model=model, config=ParallelismConfig(args.prefill_tp, args.prefill_pp)
-    )
-    return ColocatedSystem(
-        sim, spec, num_replicas=args.num_prefill, tracer=tracer,
-        profiler=profiler, scheduling=scheduling, rng=rng,
-    )
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    sim, sanitizer = _make_sim(args)
-    tracer = Tracer()
-    system = _build_system(args, sim, tracer=tracer)
-    if sanitizer is not None:
-        sanitizer.watch_system(system)
-    trace = generate_trace(
-        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
+    system, trace, sanitizer = _setup_run(args, tracer=Tracer())
     result = simulate_trace(system, trace)
     write_chrome_trace(args.out, result.spans)
     if args.jsonl_out:
@@ -292,19 +284,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run a seeded workload with full instrumentation and report it."""
-    sim, sanitizer = _make_sim(args)
-    system = _build_system(args, sim)
-    if sanitizer is not None:
-        sanitizer.watch_system(system)
+    system, trace, sanitizer = _setup_run(args)
+    sim = system.sim
     slo = SLO(ttft=args.ttft, tpot=args.tpot)
     registry = MetricsRegistry()
     monitor = SloMonitor(sim, slo, window=args.window, registry=registry)
     system.attach_monitor(monitor)
     system.instrument(registry)
-    trace = generate_trace(
-        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
     # Time-series view: sample the windowed gauges on a fixed cadence
     # for the whole arrival span plus drain slack.
     recorder = TelemetryRecorder(sim, interval=args.interval)
@@ -374,16 +360,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sys.stdout.write(rendered)
         sanitizer = None
     else:
-        sim, sanitizer = _make_sim(args)
         tracer = Tracer()
         profiler = Profiler()
-        system = _build_system(args, sim, tracer=tracer, profiler=profiler)
-        if sanitizer is not None:
-            sanitizer.watch_system(system)
-        trace = generate_trace(
-            get_dataset(args.dataset), rate=args.rate,
-            num_requests=args.requests, rng=np.random.default_rng(args.seed),
-        )
+        system, trace, sanitizer = _setup_run(args, tracer, profiler)
         result = simulate_trace(system, trace)
         slo = (args.ttft, args.tpot) if args.ttft > 0 and args.tpot > 0 else None
         report = build_profile(
@@ -499,6 +478,26 @@ def _add_scheduling_flags(p: argparse.ArgumentParser) -> None:
                         "from a dedicated RNG seeded by --seed)")
 
 
+def _add_run_flags(p: argparse.ArgumentParser, requests: int) -> None:
+    """The run flags ``trace``, ``metrics`` and ``profile`` share: model,
+    workload, mode, and instance counts and parallelism
+    (:func:`_setup_run`)."""
+    p.add_argument("--model", default="opt-13b")
+    p.add_argument("--dataset", default="sharegpt")
+    p.add_argument("--mode", choices=("disaggregated", "colocated"),
+                   default="disaggregated")
+    p.add_argument("--rate", type=float, default=2.0)
+    p.add_argument("--requests", type=int, default=requests)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-prefill", type=int, default=1,
+                   help="prefill instances (replicas in colocated mode)")
+    p.add_argument("--num-decode", type=int, default=1)
+    p.add_argument("--prefill-tp", type=int, default=1)
+    p.add_argument("--prefill-pp", type=int, default=1)
+    p.add_argument("--decode-tp", type=int, default=1)
+    p.add_argument("--decode-pp", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -552,20 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="simulate a synthetic trace and dump the span timeline"
     )
-    trace_p.add_argument("--model", default="opt-13b")
-    trace_p.add_argument("--dataset", default="sharegpt")
-    trace_p.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    trace_p.add_argument("--rate", type=float, default=2.0)
-    trace_p.add_argument("--requests", type=int, default=100)
-    trace_p.add_argument("--seed", type=int, default=0)
-    trace_p.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    trace_p.add_argument("--num-decode", type=int, default=1)
-    trace_p.add_argument("--prefill-tp", type=int, default=1)
-    trace_p.add_argument("--prefill-pp", type=int, default=1)
-    trace_p.add_argument("--decode-tp", type=int, default=1)
-    trace_p.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(trace_p, requests=100)
     trace_p.add_argument("--out", default="/tmp/trace.json",
                          help="Chrome trace_event output path")
     trace_p.add_argument("--jsonl-out", default="",
@@ -581,20 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="serve a trace with full instrumentation; report/export metrics",
     )
-    metrics.add_argument("--model", default="opt-13b")
-    metrics.add_argument("--dataset", default="sharegpt")
-    metrics.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    metrics.add_argument("--rate", type=float, default=2.0)
-    metrics.add_argument("--requests", type=int, default=300)
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    metrics.add_argument("--num-decode", type=int, default=1)
-    metrics.add_argument("--prefill-tp", type=int, default=1)
-    metrics.add_argument("--prefill-pp", type=int, default=1)
-    metrics.add_argument("--decode-tp", type=int, default=1)
-    metrics.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(metrics, requests=300)
     metrics.add_argument("--ttft", type=float, default=4.0,
                          help="TTFT SLO in seconds")
     metrics.add_argument("--tpot", type=float, default=0.2,
@@ -616,20 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical-path profile: per-phase latency attribution, "
              "utilization timelines, and differential run comparison",
     )
-    profile.add_argument("--model", default="opt-13b")
-    profile.add_argument("--dataset", default="sharegpt")
-    profile.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    profile.add_argument("--rate", type=float, default=2.0)
-    profile.add_argument("--requests", type=int, default=100)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    profile.add_argument("--num-decode", type=int, default=1)
-    profile.add_argument("--prefill-tp", type=int, default=1)
-    profile.add_argument("--prefill-pp", type=int, default=1)
-    profile.add_argument("--decode-tp", type=int, default=1)
-    profile.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(profile, requests=100)
     profile.add_argument("--ttft", type=float, default=0.0,
                          help="TTFT SLO in seconds (0 disables goodput)")
     profile.add_argument("--tpot", type=float, default=0.0,

@@ -46,10 +46,10 @@ import numpy as np
 from ..analysis.slo import slo_attainment
 from ..serving.base import ServingSystem, simulate_trace
 from ..simulator.events import Simulation
+from ..simulator.observer import Observer
 from ..simulator.request import RequestRecord
 from ..workload.datasets import SyntheticDataset, generate_trace
 from ..workload.slos import SLO
-from ..workload.trace import Request
 
 __all__ = [
     "GoodputResult",
@@ -114,16 +114,17 @@ class TrialOutcome:
     truncated: bool = False
 
 
-class _EarlyAbortMonitor:
+class _EarlyAbortMonitor(Observer):
     """Counts SLO violations online and stops the simulation when the
     attainment target is mathematically out of reach.
 
-    Quacks like :class:`repro.simulator.metrics.SloMonitor` (the two
-    observe hooks) so :meth:`ServingSystem.attach_monitor` accepts it.
-    Soundness: only *completed* requests are counted, and a completed
-    request's TTFT/TPOT are final, so ``violations`` never overcounts;
-    the trip condition ``violations > allowed`` therefore implies the
-    full trial's attainment would be below the target too.
+    Subscribes to completions only, through
+    :meth:`ServingSystem.attach_monitor`; it handles no per-step event,
+    so decode runs stay uncapped. Soundness: only *completed* requests
+    are counted, and a completed request's TTFT/TPOT are final, so
+    ``violations`` never overcounts; the trip condition
+    ``violations > allowed`` therefore implies the full trial's
+    attainment would be below the target too.
     """
 
     __slots__ = ("_sim", "_slo", "_allowed", "violations", "tripped")
@@ -135,10 +136,7 @@ class _EarlyAbortMonitor:
         self.violations = 0
         self.tripped = False
 
-    def observe_arrival(self, request: Request) -> None:  # SloMonitor protocol
-        pass
-
-    def observe_completion(self, record: RequestRecord) -> None:
+    def on_completion(self, record: RequestRecord, time: float) -> None:
         if record.ttft > self._slo.ttft or record.tpot > self._slo.tpot:
             self.violations += 1
             if self.violations > self._allowed and not self.tripped:

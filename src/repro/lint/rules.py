@@ -794,16 +794,14 @@ class PicklableTaskRule(Rule):
 #: measurable overhead — the <5% profiler budget in
 #: benchmarks/bench_profile_overhead.py depends on these staying
 #: append-only. Names are matched exactly, plus any method whose name
-#: starts with ``record``.
+#: starts with ``record`` or ``on_`` (every observer-bus subscriber
+#: handler, :mod:`repro.simulator.observer`).
 _HOT_EVENT_METHODS = {
     "begin_pending",
     "end_pending",
-    "note_pending",
     "span",
     "instant",
     "observe",
-    "observe_arrival",
-    "observe_completion",
     "inc",
     "dec",
     "set",
@@ -820,7 +818,7 @@ _COMP_LABEL = {
 
 
 def _is_hot_event_method(name: str) -> bool:
-    return name in _HOT_EVENT_METHODS or name.startswith("record")
+    return name in _HOT_EVENT_METHODS or name.startswith(("record", "on_"))
 
 
 def _own_body(fn: ast.AST, include_lambdas: bool) -> "Iterator[ast.AST]":
@@ -846,13 +844,14 @@ class HotPathComprehensionRule(Rule):
     """No comprehensions in profiler/metric per-event hot paths.
 
     Rationale:
-        Per-event observability entry points (``record*``, ``span``,
-        ``observe``, ``inc``, ...) run 10^5-10^6 times per trace; a
-        comprehension allocates a fresh container every call, which is
-        measurable against the <5% profiler-overhead budget. The rule
-        flags comprehensions in those methods *and* in every function
-        the project call graph shows they reach — a helper in another
-        module called from ``record_exec`` is just as hot. Metric read
+        Per-event observability entry points (``record*``, observer
+        handlers ``on_*``, ``span``, ``observe``, ``inc``, ...) run
+        10^5-10^6 times per trace; a comprehension allocates a fresh
+        container every call, which is measurable against the <5%
+        profiler-overhead budget. The rule flags comprehensions in
+        those methods *and* in every function the project call graph
+        shows they reach — a helper in another
+        module called from ``on_batch`` is just as hot. Metric read
         callbacks (``fn=lambda: ...`` and callables handed to
         counter/gauge/histogram/register) are hot for the same reason.
 
@@ -876,7 +875,7 @@ class HotPathComprehensionRule(Rule):
             fn.cls is not None
             and _is_hot_event_method(fn.name)
             and fn.module.startswith(
-                ("repro.simulator", "repro.serving", "repro.scheduling")
+                ("repro.simulator", "repro.serving", "repro.scheduling", "repro.core")
             )
         )
 

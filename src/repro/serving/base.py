@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 from ..scheduling.config import SchedulingConfig
 from ..simulator.events import Simulation
-from ..simulator.metrics import MetricsRegistry, SloMonitor
-from ..simulator.profiler import NULL_PROFILER, Profiler
+from ..simulator.metrics import MetricsRegistry
+from ..simulator.observer import Observer, ObserverBus
+from ..simulator.profiler import Profiler
 from ..simulator.request import RequestRecord, RequestState
-from ..simulator.tracing import NULL_TRACER, Span, SpanKind, Tracer
+from ..simulator.tracing import Span, Tracer
 from ..simulator.transfer import TransferRecord
 from ..workload.trace import Request, Trace
 
@@ -27,14 +28,15 @@ class ServingSystem(abc.ABC):
     """Base class for simulated serving systems.
 
     Subclasses implement :meth:`submit`; completion flows back through
-    :meth:`_complete`, which freezes the request into a record. An
-    optional :class:`~repro.simulator.tracing.Tracer` receives per-request
-    lifecycle spans (``arrival``/``completion`` from this base; queue,
-    exec, transfer, and step spans from the instances the subclass wires
-    the tracer into). An optional
-    :class:`~repro.simulator.profiler.Profiler` receives instance-level
-    execution events through the same injection pattern — subclasses
-    forward it to their instances and transfer engines.
+    :meth:`_complete`, which freezes the request into a record.
+
+    Every system owns one :class:`~repro.simulator.observer.ObserverBus`,
+    :attr:`observer`, which subclasses hand to their instances and
+    transfer engines. This base emits ``on_arrival``/``on_completion``;
+    the instances emit the rest. An optional
+    :class:`~repro.simulator.tracing.Tracer` and
+    :class:`~repro.simulator.profiler.Profiler` are subscribed at
+    construction, monitors by :meth:`attach_monitor`.
     """
 
     def __init__(
@@ -51,13 +53,15 @@ class ServingSystem(abc.ABC):
         #: defaults). Subclasses thread it into their instances and
         #: dispatchers; exposed here so reports can label runs.
         self.scheduling = scheduling
-        self._trace = tracer if tracer is not None else NULL_TRACER
-        self._prof = profiler if profiler is not None else NULL_PROFILER
+        #: The run's event bus; every observer of this system subscribes.
+        self.observer = ObserverBus()
+        for subscriber in (tracer, profiler):
+            if subscriber is not None:
+                self.observer.subscribe(subscriber)
         self.records: "list[RequestRecord]" = []
         self._submitted = 0
         #: Requests refused admission (admission-control extensions).
         self.rejections = 0
-        self._monitor: "SloMonitor | None" = None
 
     @abc.abstractmethod
     def submit(self, request: Request) -> None:
@@ -72,19 +76,16 @@ class ServingSystem(abc.ABC):
         """Requests accepted but not yet completed."""
         return self._submitted - len(self.records)
 
-    @property
-    def monitor(self) -> "SloMonitor | None":
-        """The attached online SLO monitor, if any."""
-        return self._monitor
+    def attach_monitor(self, monitor: Observer) -> None:
+        """Subscribe an online monitor (e.g. an
+        :class:`~repro.simulator.metrics.SloMonitor`) to this run's events.
 
-    def attach_monitor(self, monitor: SloMonitor) -> None:
-        """Feed arrivals/completions into an online SLO monitor.
-
+        Monitors accumulate: each attached one sees every later event.
         Attach before the first arrival so cumulative attainment covers
-        every request; the monitor then matches the offline
+        every request; an ``SloMonitor`` then matches the offline
         :func:`repro.analysis.slo.slo_attainment` computation exactly.
         """
-        self._monitor = monitor
+        self.observer.subscribe(monitor)
 
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register system-level metrics, then per-component ones.
@@ -115,21 +116,17 @@ class ServingSystem(abc.ABC):
 
     def _register(self, request: Request) -> RequestState:
         self._submitted += 1
-        self._trace.instant(request.request_id, SpanKind.ARRIVAL, self.sim.now)
-        if self._monitor is not None:
-            self._monitor.observe_arrival(request)
+        self.observer.on_arrival(request, self.sim.now)
         return RequestState(request=request)
 
     def _complete(self, state: RequestState) -> None:
         record = state.to_record()
         self.records.append(record)
-        self._trace.instant(state.request_id, SpanKind.COMPLETION, self.sim.now)
-        if self._monitor is not None:
-            self._monitor.observe_completion(record)
+        self.observer.on_completion(record, self.sim.now)
 
+    @abc.abstractmethod
     def num_gpus(self) -> int:
         """GPUs provisioned by this system (for per-GPU goodput)."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -170,22 +167,16 @@ def simulate_trace(
         assert request.arrival_time >= sim.now  # traces arrive in the future
         sim.schedule_at(request.arrival_time, _make_arrival(system, request))
     sim.run(until=max_sim_time, max_events=max_events)
-    profiler = getattr(system, "profiler", None)
-    if profiler is not None:
-        profiler.finish(sim.now)
+    system.observer.on_finish(sim.now)
     transfers = getattr(system, "transfer_records", [])
-    try:
-        gpus = system.num_gpus()
-    except NotImplementedError:
-        gpus = 0
-    tracer = getattr(system, "tracer", None)
+    tracer = system.tracer
     return SimulationResult(
         records=list(system.records),
         unfinished=system.unfinished,
         sim_time=sim.now,
         events_processed=sim.events_processed,
         transfer_records=list(transfers),
-        num_gpus=gpus,
+        num_gpus=system.num_gpus(),
         spans=list(tracer.spans) if tracer is not None else [],
     )
 

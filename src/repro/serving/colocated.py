@@ -32,19 +32,19 @@ class ColocatedSystem(ServingSystem):
         spec: Per-replica resources and parallelism.
         num_replicas: Model replicas (rate capacity scales linearly, §2.2).
         policy: Iteration scheduling policy of each replica.
-        dispatch_policy: How arrivals are routed across replicas.
         max_prefill_tokens: Per-iteration prefill token budget.
         chunk_size: Chunk budget for the ``"chunked"`` policy.
         rng: Needed only for random dispatch.
-        tracer: Optional lifecycle tracer, shared with every replica.
-        profiler: Optional critical-path profiler, shared with every
-            replica.
+        tracer: Optional lifecycle tracer, subscribed to the system's
+            observer bus.
+        profiler: Optional critical-path profiler, subscribed to the
+            bus.
         fast_kernel: Accepted for signature parity with
             :class:`DisaggregatedSystem`; colocated replicas have one
             engine path, so it has no effect.
         scheduling: Full policy configuration (:mod:`repro.scheduling`)
-            shared by every replica; its ``dispatch_policy`` overrides
-            the legacy ``dispatch_policy`` keyword.
+            shared by every replica; its ``dispatch_policy`` routes
+            arrivals across replicas.
     """
 
     def __init__(
@@ -53,7 +53,6 @@ class ColocatedSystem(ServingSystem):
         spec: InstanceSpec,
         num_replicas: int = 1,
         policy: str = "prefill_priority",
-        dispatch_policy: str = "least_loaded",
         max_prefill_tokens: int = 2048,
         chunk_size: int = 512,
         rng: "np.random.Generator | None" = None,
@@ -65,8 +64,6 @@ class ColocatedSystem(ServingSystem):
         super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
         if num_replicas <= 0:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-        if scheduling is not None:
-            dispatch_policy = scheduling.dispatch_policy
         self.spec = spec
         self.instances = [
             ColocatedInstance(
@@ -77,14 +74,14 @@ class ColocatedSystem(ServingSystem):
                 max_prefill_tokens=max_prefill_tokens,
                 chunk_size=chunk_size,
                 name=f"colocated-{i}",
-                tracer=tracer,
-                profiler=profiler,
+                observer=self.observer,
                 scheduling=scheduling,
             )
             for i in range(num_replicas)
         ]
         self._dispatcher = Dispatcher(
-            dispatch_policy, load_fn=lambda inst: inst.load, rng=rng
+            (scheduling or SchedulingConfig()).dispatch_policy,
+            load_fn=lambda inst: inst.load, rng=rng,
         )
         #: Replicas killed via fault injection.
         self.failures = 0
@@ -127,7 +124,3 @@ class ColocatedSystem(ServingSystem):
         for inst in self.instances:
             inst.instrument(registry)
         self._dispatcher.instrument(registry, pool="replica")
-
-    @property
-    def total_preemptions(self) -> int:
-        return sum(inst.preemptions for inst in self.instances)

@@ -28,7 +28,7 @@ from ..simulator.metrics import MetricsRegistry
 from ..simulator.prefill_instance import PrefillInstance
 from ..simulator.profiler import Profiler
 from ..simulator.request import RequestState
-from ..simulator.tracing import SpanKind, Tracer
+from ..simulator.tracing import Tracer
 from ..simulator.transfer import TransferEngine
 from ..workload.trace import Request
 
@@ -50,18 +50,18 @@ class DisaggregatedSystem(ServingSystem):
         transfer_channels: Parallel channels per migration (corresponding
             pipeline-stage pairs move their shards concurrently).
         transfer_mode: ``"pull"`` (default, §4.3) or ``"push"``.
-        dispatch_policy: Routing policy for both pools.
         rng: Needed only for random dispatch.
-        tracer: Optional lifecycle tracer, shared with every instance.
-        profiler: Optional critical-path profiler, shared with every
-            instance and the transfer engine; additionally receives
-            blocked-on-transfer intervals per decode instance (pull mode).
+        tracer: Optional lifecycle tracer, subscribed to the system's
+            observer bus.
+        profiler: Optional critical-path profiler, subscribed to the
+            bus; besides exec and transfer events it receives each
+            decode instance's blocked-on-transfer state (pull mode).
         fast_kernel: Let decode instances plan multi-step runs
             (bit-identical results; disabling, tracing or profiling caps
             every run at one step). Prefill instances have one path.
         scheduling: Full policy configuration (:mod:`repro.scheduling`)
-            shared by every instance; its ``dispatch_policy`` overrides
-            the legacy ``dispatch_policy`` keyword.
+            shared by every instance; its ``dispatch_policy`` routes
+            both pools.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class DisaggregatedSystem(ServingSystem):
         transfer_link: NetworkLink = NVLINK,
         transfer_channels: "int | None" = None,
         transfer_mode: str = "pull",
-        dispatch_policy: str = "least_loaded",
         rng: "np.random.Generator | None" = None,
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
@@ -82,8 +81,7 @@ class DisaggregatedSystem(ServingSystem):
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
-        if scheduling is not None:
-            dispatch_policy = scheduling.dispatch_policy
+        dispatch_policy = (scheduling or SchedulingConfig()).dispatch_policy
         if num_prefill <= 0 or num_decode <= 0:
             raise ValueError("need at least one instance of each kind")
         if transfer_mode not in ("pull", "push"):
@@ -99,11 +97,11 @@ class DisaggregatedSystem(ServingSystem):
             if transfer_channels is not None
             else min(prefill_spec.config.pp, decode_spec.config.pp)
         )
-        self._transfers = TransferEngine(sim, profiler=profiler)
+        self._transfers = TransferEngine(sim, observer=self.observer)
         self.prefill_instances = [
             PrefillInstance(
                 sim, prefill_spec, on_prefill_done=self._on_prefill_done,
-                name=f"prefill-{i}", tracer=tracer, profiler=profiler,
+                name=f"prefill-{i}", observer=self.observer,
                 scheduling=scheduling,
             )
             for i in range(num_prefill)
@@ -111,7 +109,7 @@ class DisaggregatedSystem(ServingSystem):
         self.decode_instances = [
             DecodeInstance(
                 sim, decode_spec, on_request_done=self._on_decode_done,
-                name=f"decode-{i}", tracer=tracer, profiler=profiler,
+                name=f"decode-{i}", observer=self.observer,
                 fast_kernel=fast_kernel, scheduling=scheduling,
             )
             for i in range(num_decode)
@@ -177,19 +175,17 @@ class DisaggregatedSystem(ServingSystem):
         return total
 
     def _note_pending(self, decode: DecodeInstance) -> None:
-        """Reconcile the profiler's blocked-on-transfer interval.
+        """Emit whether ``decode`` is blocked on transfers.
 
         A decode instance counts as blocked while KV caches are parked
         for it on prefill memory or promised to in-flight transfers —
         the §4.3 pull policy's queuing-on-the-prefill-side signal.
         """
-        if not self._prof.enabled:
-            return
         blocked = (
             bool(self._pending_pull.get(decode.name))
             or self._inflight_blocks.get(decode.name, 0) > 0
         )
-        self._prof.note_pending(decode.name, blocked, self.sim.now)
+        self.observer.on_blocked(decode.name, blocked, self.sim.now)
 
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
@@ -208,16 +204,7 @@ class DisaggregatedSystem(ServingSystem):
             self._complete(state)
             return
         decode = self._decode_dispatch.choose(self.decode_instances)
-        # The kv_transfer span opens as soon as the cache is ready to
-        # migrate: under the pull policy it covers any time parked on
-        # prefill memory awaiting a decode-side reservation, matching the
-        # record-level transfer stage (prefill_end .. transfer_end).
-        self._trace.begin(
-            state.request_id,
-            SpanKind.KV_TRANSFER,
-            self.sim.now,
-            f"{prefill.name}->{decode.name}",
-        )
+        self.observer.on_transfer_start(state, self.sim.now, prefill.name, decode.name)
         if self.transfer_mode == "push":
             self._start_transfer(state, prefill, decode)
         else:
@@ -251,7 +238,7 @@ class DisaggregatedSystem(ServingSystem):
 
         def _done() -> None:
             state.stamp("transfer_end", self.sim.now)
-            self._trace.end(state.request_id, SpanKind.KV_TRANSFER, self.sim.now)
+            self.observer.on_transfer_end(state, self.sim.now)
             prefill.release_kv(state.request_id)
             self._home_prefill.pop(state.request_id, None)
             if self.transfer_mode == "pull" and decode.name in self._inflight_blocks:
@@ -328,8 +315,7 @@ class DisaggregatedSystem(ServingSystem):
         lost = victim.fail()
         self.decode_instances.remove(victim)
         self.failures += 1
-        if self._prof.enabled:
-            self._prof.end_pending(victim.name, self.sim.now)
+        self.observer.on_blocked(victim.name, False, self.sim.now)
         # Requests queued for pull toward the dead instance keep their
         # prefill-side KV; just re-route the pull to a survivor.
         stranded = list(self._pending_pull.pop(victim.name, ()))

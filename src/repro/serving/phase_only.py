@@ -23,7 +23,7 @@ from ..simulator.metrics import MetricsRegistry
 from ..simulator.prefill_instance import PrefillInstance
 from ..simulator.profiler import Profiler
 from ..simulator.request import RequestState
-from ..simulator.tracing import SpanKind, Tracer
+from ..simulator.tracing import Tracer
 from ..workload.trace import Request
 
 __all__ = ["PrefillOnlySystem", "DecodeOnlySystem"]
@@ -46,7 +46,7 @@ class PrefillOnlySystem(ServingSystem):
         self.instances = [
             PrefillInstance(
                 sim, spec, on_prefill_done=self._finish, name=f"prefill-{i}",
-                tracer=tracer, profiler=profiler, scheduling=scheduling,
+                observer=self.observer, scheduling=scheduling,
             )
             for i in range(num_instances)
         ]
@@ -68,22 +68,11 @@ class PrefillOnlySystem(ServingSystem):
         # remaining tokens are free — only TTFT is under test.
         for inst in self.instances:
             inst.release_kv(state.request_id)
-        if self._trace.enabled:
-            while not state.is_finished:
-                state.record_token(self.sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    self.sim.now,
-                    self.sim.now,
-                    token_index=state.generated - 1,
-                )
-        else:
-            # Bulk-stamp the free tokens: one extend instead of an
-            # O(output_len) loop of property reads and span calls.
-            remaining = state.remaining_tokens
-            if remaining > 0:
-                state.record_tokens([self.sim.now] * remaining)
+        remaining = state.remaining_tokens
+        if remaining > 0:
+            now = self.sim.now
+            state.record_tokens([now] * remaining)
+            self.observer.on_token(state, now, now, count=remaining)
         self._complete(state)
 
     def num_gpus(self) -> int:
@@ -108,7 +97,7 @@ class DecodeOnlySystem(ServingSystem):
         self.instances = [
             DecodeInstance(
                 sim, spec, on_request_done=self._complete, name=f"decode-{i}",
-                tracer=tracer, profiler=profiler, fast_kernel=fast_kernel,
+                observer=self.observer, fast_kernel=fast_kernel,
                 scheduling=scheduling,
             )
             for i in range(num_instances)
@@ -128,13 +117,7 @@ class DecodeOnlySystem(ServingSystem):
         state.stamp("prefill_end", self.sim.now)
         state.stamp("transfer_end", self.sim.now)
         state.record_token(self.sim.now)
-        self._trace.span(
-            state.request_id,
-            SpanKind.DECODE_STEP,
-            self.sim.now,
-            self.sim.now,
-            token_index=0,
-        )
+        self.observer.on_token(state, self.sim.now, self.sim.now)
         if state.is_finished:
             self._complete(state)
             return

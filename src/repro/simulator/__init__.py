@@ -17,8 +17,9 @@ from .metrics import (
     SloMonitor,
     exponential_buckets,
 )
+from .observer import Observer, ObserverBus
 from .prefill_instance import PrefillInstance
-from .profiler import NULL_PROFILER, NullProfiler, Profiler
+from .profiler import Profiler
 from .request import RequestPhase, RequestRecord, RequestState
 from .sanitizer import (
     SanitizedSimulation,
@@ -28,8 +29,6 @@ from .sanitizer import (
 )
 from .telemetry import GaugeSeries, GaugeSummary, TelemetryRecorder
 from .tracing import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     SpanKind,
     Tracer,
@@ -51,9 +50,9 @@ __all__ = [
     "InstanceSpec",
     "KVBlockManager",
     "OutOfBlocksError",
+    "Observer",
+    "ObserverBus",
     "PrefillInstance",
-    "NULL_PROFILER",
-    "NullProfiler",
     "Profiler",
     "RequestPhase",
     "RequestRecord",
@@ -74,8 +73,6 @@ __all__ = [
     "GaugeSeries",
     "GaugeSummary",
     "TelemetryRecorder",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "SpanKind",
     "Tracer",

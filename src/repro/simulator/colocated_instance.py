@@ -30,12 +30,11 @@ from collections import deque
 from typing import Callable, Deque
 
 from .events import Simulation
-from .instance import InstanceSpec
+from .instance import InstanceSpec, instrument_instance
 from .kvcache import KVBlockManager
 from .metrics import MetricsRegistry
-from .profiler import NULL_PROFILER, Profiler
+from .observer import Observer
 from .request import RequestPhase, RequestState
-from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.mixed import mixed_batch_latency
 from ..latency.parallel import DecodeStepTimer, PrefillBatchTimer
 from ..scheduling.config import SchedulingConfig
@@ -57,9 +56,10 @@ class ColocatedInstance:
         max_prefill_tokens: Token budget of one prefill iteration.
         chunk_size: Prompt-chunk budget for the ``"chunked"`` policy.
         name: Identifier for reporting.
-        tracer: Optional lifecycle tracer receiving queue/exec/step spans.
-        profiler: Optional critical-path profiler receiving one exec
-            event per iteration, tagged by iteration kind.
+        observer: Receives this replica's lifecycle events: enqueue,
+            prefill start/end, every token, preemptions, and one
+            ``on_batch`` per iteration tagged by iteration kind
+            (:mod:`repro.simulator.observer`).
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before each admission
             pass (FCFS default is a no-op). Batch shaping stays with the
@@ -75,8 +75,7 @@ class ColocatedInstance:
         max_prefill_tokens: int = 2048,
         chunk_size: int = 512,
         name: str = "colocated-0",
-        tracer: "Tracer | None" = None,
-        profiler: "Profiler | None" = None,
+        observer: "Observer | None" = None,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         if policy not in POLICIES:
@@ -112,8 +111,7 @@ class ColocatedInstance:
         # Recompute lengths for preempted requests: request_id -> context.
         self._recompute_len: "dict[int, int]" = {}
         self._jitter = spec.make_jitter(name)
-        self._trace = tracer if tracer is not None else NULL_TRACER
-        self._prof = profiler if profiler is not None else NULL_PROFILER
+        self._obs = observer if observer is not None else Observer()
         self._iterating = False
         # Pure prefill/decode iterations price batches through the O(1)
         # timers; decode ones read an incrementally maintained total.
@@ -140,27 +138,18 @@ class ColocatedInstance:
 
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this replica's gauges/counters (callback-backed)."""
-        labels = {"phase": "colocated", "instance": self.name}
-        registry.gauge(
-            "repro_queue_depth", "Requests waiting for a batch slot",
-            labels=labels, fn=lambda: len(self._waiting),
-        )
-        registry.gauge(
-            "repro_batch_size", "Active continuous-batching set size",
-            labels=labels, fn=lambda: len(self._running),
+        labels = instrument_instance(
+            registry, "colocated", self.name, self._sim, self._kv,
+            queue_depth=lambda: len(self._waiting),
+            tokens=lambda: self.tokens_prefilled + self.tokens_generated,
+            busy=lambda: self.busy_time,
+            batch_size=lambda: len(self._running),
+            preemptions=lambda: self.preemptions,
         )
         registry.gauge(
             "repro_chunked_prefill_tokens",
             "Prompt tokens mid-chunked-prefill (chunked policy occupancy)",
             labels=labels, fn=lambda: sum(self._chunk_progress.values()),
-        )
-        registry.gauge(
-            "repro_kv_blocks_used", "KV-cache blocks allocated",
-            labels=labels, fn=lambda: self._kv.used_blocks,
-        )
-        registry.gauge(
-            "repro_kv_blocks_free", "KV-cache blocks available",
-            labels=labels, fn=lambda: self._kv.free_blocks,
         )
         for kind, fn in (
             ("prefill", lambda: self.prefill_iterations),
@@ -171,31 +160,12 @@ class ColocatedInstance:
                 "repro_iterations_total", "Iterations executed, by kind",
                 labels={**labels, "kind": kind}, fn=fn,
             )
-        registry.counter(
-            "repro_tokens_total", "Tokens processed by the phase",
-            labels=labels, fn=lambda: self.tokens_prefilled + self.tokens_generated,
-        )
-        registry.counter(
-            "repro_busy_seconds_total", "Virtual seconds spent executing",
-            labels=labels, fn=lambda: self.busy_time,
-        )
-        registry.counter(
-            "repro_preemptions_total", "Recompute preemptions",
-            labels=labels, fn=lambda: self.preemptions,
-        )
-        registry.gauge(
-            "repro_utilization", "Busy fraction of elapsed virtual time",
-            labels=labels,
-            fn=lambda: self.busy_time / self._sim.now if self._sim.now > 0 else 0.0,
-        )
 
     def submit(self, state: RequestState) -> None:
         """Accept an arriving request."""
         state.phase = RequestPhase.WAITING_PREFILL
         state.stamp("prefill_enqueue", self._sim.now)
-        self._trace.begin(
-            state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now, self.name
-        )
+        self._obs.on_enqueue(state, "prefill", self._sim.now, self.name)
         self._waiting.append(state)
         self._kick()
 
@@ -331,14 +301,7 @@ class ColocatedInstance:
         for state in batch:
             state.phase = RequestPhase.PREFILLING
             state.stamp("prefill_start", self._sim.now)
-            self._trace.end(state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now)
-            self._trace.begin(
-                state.request_id,
-                SpanKind.PREFILL_EXEC,
-                self._sim.now,
-                self.name,
-                batch_size=len(batch),
-            )
+            self._obs.on_prefill_start(state, self._sim.now, self.name, len(batch))
         step_start = self._sim.now
         self._inflight_prefills = list(batch)
         self._sim.schedule(
@@ -361,19 +324,15 @@ class ColocatedInstance:
         )
 
     def _finish_prefill(
-        self,
-        batch: "list[RequestState]",
-        step_start: float = 0.0,
-        batch_tokens: int = 0,
+        self, batch: "list[RequestState]", step_start: float, batch_tokens: int
     ) -> None:
         if not self._alive:
             return  # the replica died mid-iteration; victims re-routed
         self._inflight_prefills = []
-        if self._prof.enabled:
-            self._prof.record_exec(
-                self.name, "prefill", step_start, self._sim.now,
-                len(batch), batch_tokens,
-            )
+        self._obs.on_batch(
+            self.name, "prefill", step_start, self._sim.now,
+            len(batch), batch_tokens,
+        )
         self._complete_prefills(batch, batch_size=len(batch))
         self._run_iteration()
 
@@ -382,11 +341,11 @@ class ColocatedInstance:
     ) -> None:
         """Move requests whose prompt just finished prefilling to decode.
 
-        A first prefill emits the request's first token as a zero-length
-        ``DECODE_STEP`` span; pure prefill iterations tag it with their
-        ``batch_size``, mixed iterations leave it unset. A recompute
-        after preemption emits nothing. Requests that need no more
-        tokens finish here, the rest join the running set.
+        A first prefill records the request's first token over a
+        zero-length interval; pure prefill iterations report their
+        ``batch_size`` with it, mixed iterations leave it unset. A
+        recompute after preemption records no token. Requests that need
+        no more tokens finish here, the rest join the running set.
         """
         for state in states:
             was_preempted = state.request_id in self._recompute_len
@@ -394,17 +353,11 @@ class ColocatedInstance:
             self._chunk_progress.pop(state.request_id, None)
             state.recompute_len = None
             state.stamp("prefill_end", self._sim.now)
-            self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
+            self._obs.on_prefill_end(state, self._sim.now)
             if not was_preempted and state.generated == 0:
                 state.record_token(self._sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    self._sim.now,
-                    self._sim.now,
-                    self.name,
-                    batch_size=batch_size,
-                    token_index=0,
+                self._obs.on_token(
+                    state, self._sim.now, self._sim.now, self.name, batch_size
                 )
             state.phase = RequestPhase.DECODING
             state.stamp("decode_start", self._sim.now)
@@ -417,48 +370,37 @@ class ColocatedInstance:
                 self._running_ids.add(state.request_id)
                 self._running_context_tokens += state.context_len
 
-    def _finish_decode(
-        self, batch: "list[RequestState]", step_start: float = 0.0
-    ) -> None:
+    def _finish_decode(self, batch: "list[RequestState]", step_start: float) -> None:
         if not self._alive:
             return  # the replica died mid-iteration; victims re-routed
         step_tokens = self._advance_decodes(batch, step_start)
-        if self._prof.enabled:
-            self._prof.record_exec(
-                self.name, "decode", step_start, self._sim.now,
-                len(batch), step_tokens,
-            )
+        self._obs.on_batch(
+            self.name, "decode", step_start, self._sim.now,
+            len(batch), step_tokens,
+        )
         self._run_iteration()
 
-    def _advance_decodes(
-        self, batch: "list[RequestState]", step_start: float = 0.0
-    ) -> int:
+    def _advance_decodes(self, batch: "list[RequestState]", step_start: float) -> int:
         finished: "list[RequestState]" = []
         step_tokens = 0
+        now, name, size = self._sim.now, self.name, len(batch)
+        on_token = self._obs.on_token
         for state in batch:
-            if state.request_id not in self._running_ids:
+            request_id = state.request_id
+            if request_id not in self._running_ids:
                 continue  # preempted during this iteration
-            if not self._kv.can_append(state.request_id):
-                self._preempt_youngest(exclude_id=state.request_id)
-                if not self._kv.can_append(state.request_id):
+            if not self._kv.can_append(request_id):
+                self._preempt_youngest(exclude_id=request_id)
+                if not self._kv.can_append(request_id):
                     continue  # still stuck; token retried next iteration
-            self._kv.append(state.request_id)
-            state.record_token(self._sim.now)
-            self.tokens_generated += 1
-            self._running_context_tokens += 1
+            self._kv.append(request_id)
+            state.record_token(now)
             step_tokens += 1
-            if self._trace.enabled:
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    step_start,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=state.generated - 1,
-                )
+            on_token(state, step_start, now, name, size)
             if state.is_finished:
                 finished.append(state)
+        self.tokens_generated += step_tokens
+        self._running_context_tokens += step_tokens
         for state in finished:
             self._running.remove(state)
             self._running_ids.discard(state.request_id)
@@ -480,12 +422,8 @@ class ColocatedInstance:
             self._kv.free(victim.request_id)
             self._recompute_len[victim.request_id] = victim.context_len
             victim.phase = RequestPhase.WAITING_PREFILL
-            self._trace.instant(
-                victim.request_id, SpanKind.PREEMPTED, self._sim.now, self.name
-            )
-            self._trace.begin(
-                victim.request_id, SpanKind.PREFILL_QUEUE, self._sim.now, self.name
-            )
+            self._obs.on_preempt(victim, self._sim.now, self.name)
+            self._obs.on_enqueue(victim, "prefill", self._sim.now, self.name)
             self._waiting.appendleft(victim)
             self.preemptions += 1
             return
@@ -511,12 +449,7 @@ class ColocatedInstance:
                 self._kv.allocate(head.request_id, need)
                 head.phase = RequestPhase.PREFILLING
                 head.stamp("prefill_start", self._sim.now)
-                self._trace.end(
-                    head.request_id, SpanKind.PREFILL_QUEUE, self._sim.now
-                )
-                self._trace.begin(
-                    head.request_id, SpanKind.PREFILL_EXEC, self._sim.now, self.name
-                )
+                self._obs.on_prefill_start(head, self._sim.now, self.name, 0)
             remaining = need - done
             take = remaining if combined else min(remaining, budget - spent)
             if take <= 0:
@@ -560,21 +493,16 @@ class ColocatedInstance:
         )
 
     def _finish_mixed(
-        self,
-        decode_batch: "list[RequestState]",
-        prefilled: "list[RequestState]",
-        step_start: float = 0.0,
-        prefill_tokens: int = 0,
-        batch_size: int = 0,
+        self, decode_batch: "list[RequestState]", prefilled: "list[RequestState]",
+        step_start: float, prefill_tokens: int, batch_size: int,
     ) -> None:
         if not self._alive:
             return  # the replica died mid-iteration; victims re-routed
         self._inflight_prefills = []
         self._complete_prefills(prefilled)
         step_tokens = self._advance_decodes(decode_batch, step_start)
-        if self._prof.enabled:
-            self._prof.record_exec(
-                self.name, "mixed", step_start, self._sim.now,
-                batch_size, prefill_tokens + step_tokens,
-            )
+        self._obs.on_batch(
+            self.name, "mixed", step_start, self._sim.now,
+            batch_size, prefill_tokens + step_tokens,
+        )
         self._run_iteration()

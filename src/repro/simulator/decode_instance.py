@@ -28,11 +28,14 @@ landing mid-run truncates the run at the next step boundary, refunding
 unused jitter draws so the RNG stream stays aligned.
 
 The per-step reference is this engine with every run capped at one
-step: selected by ``fast_kernel=False`` and forced whenever a tracer,
-profiler, or metrics registry (:meth:`DecodeInstance.instrument`)
-observes individual steps. Counters charge a step's batch and busy time
-when the step starts and its tokens when it ends, so an observer
-sampling mid-step sees what a one-event-per-step engine would show.
+step. One predicate caps runs: ``fast_kernel=False``, a metrics
+registry sampling live state (:meth:`DecodeInstance.instrument`), or
+an observer that handles per-step events (``observes_steps``: a tracer
+or profiler subscribed to the run's bus). A capped run end emits
+``on_tokens`` and ``on_batch`` for its step. Counters charge a step's
+batch and busy time when the step starts and its tokens when it ends,
+so an observer sampling mid-step sees what a one-event-per-step engine
+would show.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ from collections import deque
 from typing import Callable, Deque
 
 from .events import Simulation
-from .instance import InstanceSpec
+from .instance import InstanceSpec, instrument_instance
 from .kvcache import KVBlockManager
 from .metrics import MetricsRegistry
-from .profiler import NULL_PROFILER, Profiler
+from .observer import Observer
 from .request import RequestPhase, RequestState
-from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.parallel import DecodeStepTimer
 from ..scheduling.batch import BatchPolicy, make_batch_policy
 from ..scheduling.config import SchedulingConfig
@@ -65,12 +67,13 @@ class DecodeInstance:
         on_request_done: Callback fired when a request's last token is
             generated.
         name: Identifier for reporting.
-        tracer: Optional lifecycle tracer receiving queue/step spans.
-        profiler: Optional critical-path profiler receiving one exec
-            event per decoding step.
-        fast_kernel: Allow multi-step runs when per-step observability
-            is off. Results are bit-identical either way; disabling
-            caps every run at one step (the per-step reference).
+        observer: Receives this instance's lifecycle events: enqueue,
+            decode start, and, on capped runs, one ``on_tokens`` and one
+            ``on_batch`` per step (:mod:`repro.simulator.observer`).
+        fast_kernel: Allow multi-step runs when nothing observes
+            individual steps. Results are bit-identical either way;
+            disabling caps every run at one step (the per-step
+            reference).
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before admission and
             the batch policy gates the ``max_batch_size`` cap. Defaults
@@ -83,8 +86,7 @@ class DecodeInstance:
         spec: InstanceSpec,
         on_request_done: Callable[[RequestState], None],
         name: str = "decode-0",
-        tracer: "Tracer | None" = None,
-        profiler: "Profiler | None" = None,
+        observer: "Observer | None" = None,
         fast_kernel: bool = True,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
@@ -104,16 +106,12 @@ class DecodeInstance:
         self._active: "list[RequestState]" = []
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._jitter = spec.make_jitter(name)
-        self._trace = tracer if tracer is not None else NULL_TRACER
-        self._prof = profiler if profiler is not None else NULL_PROFILER
+        self._obs = observer if observer is not None else Observer()
         self._alive = True
         self._stepping = False
-        # Runs are capped at one step whenever something observes
-        # individual steps (tracing/profiling emit per-step artifacts;
-        # instrument() samples live state through gauges).
-        self._capped = (
-            not fast_kernel or self._trace.enabled or self._prof.enabled
-        )
+        # Set by fast_kernel=False and by instrument(), whose gauges
+        # sample live state that multi-step runs advance only in bulk.
+        self._per_step = not fast_kernel
         self._timer = DecodeStepTimer(
             spec.model, spec.config, spec.latency_coeffs, spec.tp_link, spec.pp_link
         )
@@ -170,6 +168,11 @@ class DecodeInstance:
             extra = (done - self._run_cursor) * len(self._run_batch)
         return self._active_context_tokens + extra
 
+    @property
+    def _capped(self) -> bool:
+        """Whether runs are capped at one step (the one predicate)."""
+        return self._per_step or self._obs.observes_steps
+
     def kv_capacity_tokens(self) -> int:
         return self._kv.total_blocks * self._kv.block_size
 
@@ -183,48 +186,19 @@ class DecodeInstance:
         run advances only in bulk — so instrumenting an instance caps
         all subsequent runs at one step.
         """
-        self._capped = True
-        labels = {"phase": "decode", "instance": self.name}
-        registry.gauge(
-            "repro_queue_depth", "Requests waiting for a batch slot",
-            labels=labels, fn=lambda: len(self._waiting),
-        )
-        registry.gauge(
-            "repro_batch_size", "Active continuous-batching set size",
-            labels=labels, fn=lambda: len(self._active),
+        self._per_step = True
+        labels = instrument_instance(
+            registry, "decode", self.name, self._sim, self._kv,
+            queue_depth=lambda: len(self._waiting),
+            tokens=lambda: self.tokens_generated,
+            busy=lambda: self.busy_time,
+            batch_size=lambda: len(self._active),
+            batches=lambda: self.steps_executed,
+            preemptions=lambda: self.preemptions,
         )
         registry.gauge(
             "repro_active_context_tokens", "Context tokens in the active set",
             labels=labels, fn=lambda: self.active_tokens,
-        )
-        registry.gauge(
-            "repro_kv_blocks_used", "KV-cache blocks allocated",
-            labels=labels, fn=lambda: self._kv.used_blocks,
-        )
-        registry.gauge(
-            "repro_kv_blocks_free", "KV-cache blocks available",
-            labels=labels, fn=lambda: self._kv.free_blocks,
-        )
-        registry.counter(
-            "repro_batches_total", "Batches/steps executed",
-            labels=labels, fn=lambda: self.steps_executed,
-        )
-        registry.counter(
-            "repro_tokens_total", "Tokens processed by the phase",
-            labels=labels, fn=lambda: self.tokens_generated,
-        )
-        registry.counter(
-            "repro_busy_seconds_total", "Virtual seconds spent executing",
-            labels=labels, fn=lambda: self.busy_time,
-        )
-        registry.counter(
-            "repro_preemptions_total", "Recompute preemptions",
-            labels=labels, fn=lambda: self.preemptions,
-        )
-        registry.gauge(
-            "repro_utilization", "Busy fraction of elapsed virtual time",
-            labels=labels,
-            fn=lambda: self.busy_time / self._sim.now if self._sim.now > 0 else 0.0,
         )
 
     def can_reserve(self, state: RequestState, extra_blocks: int = 0) -> bool:
@@ -250,9 +224,7 @@ class DecodeInstance:
         """
         state.phase = RequestPhase.WAITING_DECODE
         state.stamp("decode_enqueue", self._sim.now)
-        self._trace.begin(
-            state.request_id, SpanKind.DECODE_QUEUE, self._sim.now, self.name
-        )
+        self._obs.on_enqueue(state, "decode", self._sim.now, self.name)
         self._waiting.append(state)
         self._truncate_run()
         self._kick()
@@ -292,7 +264,7 @@ class DecodeInstance:
             self._waiting.popleft()
             head.phase = RequestPhase.DECODING
             head.stamp("decode_start", self._sim.now)
-            self._trace.end(head.request_id, SpanKind.DECODE_QUEUE, self._sim.now)
+            self._obs.on_decode_start(head, self._sim.now)
             self._active.append(head)
             self._active_context_tokens += head.context_len
 
@@ -421,7 +393,12 @@ class DecodeInstance:
             return  # stale run-end, or the instance failed mid-run
         self._materialize(len(self._run_boundaries))
         if self._capped:
-            self._emit_step()
+            batch = self._run_batch
+            start, end = self._run_start, self._run_boundaries[0]
+            self._obs.on_tokens(batch, start, end, self.name)
+            self._obs.on_batch(
+                self.name, "decode", start, end, len(batch), len(batch)
+            )
         finished = [state for state in self._run_batch if state.is_finished]
         self._clear_run()
         for state in finished:
@@ -433,26 +410,6 @@ class DecodeInstance:
             state.phase = RequestPhase.FINISHED
             self._on_done(state)
         self._continue()
-
-    def _emit_step(self) -> None:
-        """Spans and profiler exec event of a finished one-step run."""
-        batch = self._run_batch
-        start, end = self._run_start, self._run_boundaries[0]
-        if self._trace.enabled:
-            for state in batch:
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    start,
-                    end,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=state.generated - 1,
-                )
-        if self._prof.enabled:
-            self._prof.record_exec(
-                self.name, "decode", start, end, len(batch), len(batch)
-            )
 
     def _clear_run(self) -> None:
         self._run_batch = []

@@ -5,13 +5,15 @@ exactly one complete copy of model weights" (§2.3). An
 :class:`InstanceSpec` bundles the model, its parallelism configuration,
 the device, and the calibrated latency coefficients, and derives the
 KV-cache capacity the instance's block manager is sized with.
+:func:`instrument_instance` registers the metric families every engine
+exports.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -23,7 +25,11 @@ from ..latency.parallel import ParallelismConfig
 from ..models.architecture import ModelArchitecture
 from ..models.memory import compute_memory_budget
 
-__all__ = ["InstanceSpec", "DEFAULT_BLOCK_SIZE"]
+if TYPE_CHECKING:
+    from .events import Simulation
+    from .metrics import MetricsRegistry
+
+__all__ = ["InstanceSpec", "DEFAULT_BLOCK_SIZE", "instrument_instance"]
 
 #: vLLM's default PagedAttention block size, tokens per block.
 DEFAULT_BLOCK_SIZE = 16
@@ -111,3 +117,48 @@ class InstanceSpec:
         """A block manager sized to this instance's KV capacity."""
         total_blocks = self.kv_token_capacity() // self.block_size
         return KVBlockManager(total_blocks=total_blocks, block_size=self.block_size)
+
+
+def instrument_instance(
+    registry: "MetricsRegistry",
+    phase: str,
+    name: str,
+    sim: "Simulation",
+    kv: KVBlockManager,
+    queue_depth: "Callable[[], float]",
+    tokens: "Callable[[], float]",
+    busy: "Callable[[], float]",
+    batch_size: "Callable[[], float] | None" = None,
+    batches: "Callable[[], float] | None" = None,
+    preemptions: "Callable[[], float] | None" = None,
+) -> "dict[str, str]":
+    """Register the metric families every instance engine exports.
+
+    Queue depth, KV blocks used/free, tokens, busy seconds and
+    utilization always; the batch-size gauge, batch counter and
+    preemption counter when the engine passes their callbacks. Every
+    metric is callback-backed, so registration costs nothing per event.
+
+    Returns:
+        The ``{"phase", "instance"}`` label set, for engine-specific
+        families.
+    """
+    labels = {"phase": phase, "instance": name}
+    families: "tuple[tuple[Callable[..., object], str, str, Callable[[], float] | None], ...]" = (
+        (registry.gauge, "repro_queue_depth", "Requests waiting for a batch slot", queue_depth),
+        (registry.gauge, "repro_batch_size", "Active continuous-batching set size", batch_size),
+        (registry.gauge, "repro_kv_blocks_used", "KV-cache blocks allocated",
+         lambda: kv.used_blocks),
+        (registry.gauge, "repro_kv_blocks_free", "KV-cache blocks available",
+         lambda: kv.free_blocks),
+        (registry.counter, "repro_batches_total", "Batches/steps executed", batches),
+        (registry.counter, "repro_tokens_total", "Tokens processed by the phase", tokens),
+        (registry.counter, "repro_busy_seconds_total", "Virtual seconds spent executing", busy),
+        (registry.counter, "repro_preemptions_total", "Recompute preemptions", preemptions),
+        (registry.gauge, "repro_utilization", "Busy fraction of elapsed virtual time",
+         lambda: busy() / sim.now if sim.now > 0 else 0.0),
+    )
+    for register, metric, help_text, fn in families:
+        if fn is not None:
+            register(metric, help_text, labels=labels, fn=fn)
+    return labels

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Iterable
 
 from .events import Simulation
+from .observer import Observer
 from .request import RequestRecord
 from ..workload.slos import SLO
 from ..workload.trace import Request
@@ -299,11 +300,13 @@ class AttainmentSnapshot:
     num_requests: int
 
 
-class SloMonitor:
+class SloMonitor(Observer):
     """Online, windowed SLO-attainment and goodput monitor.
 
-    Observes arrivals and completions as they happen in virtual time and
-    maintains:
+    An :class:`~repro.simulator.observer.Observer` of arrivals and
+    completions (subscribe it with
+    :meth:`repro.serving.base.ServingSystem.attach_monitor`) that
+    maintains, in virtual time:
 
     * **cumulative attainment** — identical to the offline
       :func:`repro.analysis.slo.slo_attainment` over the same records;
@@ -383,24 +386,20 @@ class SloMonitor:
                 labels={"objective": objective},
                 fn=fn,
             )
-        for objective in ("total", "ttft", "tpot"):
+        for objective, field in (
+            ("total", "total"), ("ttft", "ttft_only"), ("tpot", "tpot_only")
+        ):
             registry.gauge(
                 "repro_slo_attainment_window",
                 "Attainment over the trailing window",
                 labels={"objective": objective},
-                fn=lambda o=objective: getattr(
-                    self.windowed_attainment(),
-                    {"total": "total", "ttft": "ttft_only", "tpot": "tpot_only"}[o],
-                ),
+                fn=lambda f=field: getattr(self.windowed_attainment(), f),
             )
             registry.gauge(
                 "repro_slo_attainment_cumulative",
                 "Attainment since the start of the run",
                 labels={"objective": objective},
-                fn=lambda o=objective: getattr(
-                    self.cumulative_attainment(),
-                    {"total": "total", "ttft": "ttft_only", "tpot": "tpot_only"}[o],
-                ),
+                fn=lambda f=field: getattr(self.cumulative_attainment(), f),
             )
             registry.gauge(
                 "repro_goodput_window_rps",
@@ -426,13 +425,13 @@ class SloMonitor:
         )
 
     # ------------------------------------------------------------------
-    def observe_arrival(self, request: Request) -> None:
+    def on_arrival(self, request: Request, time: float) -> None:
         """Record one arriving request (feeds the profiler window)."""
         self.arrived += 1
-        self._arrivals.append((self._sim.now, request))
+        self._arrivals.append((time, request))
         self._evict()
 
-    def observe_completion(self, record: RequestRecord) -> None:
+    def on_completion(self, record: RequestRecord, time: float) -> None:
         """Judge one completed request against the SLOs."""
         ttft_ok = record.ttft <= self.slo.ttft
         tpot_ok = record.tpot <= self.slo.tpot
@@ -450,7 +449,7 @@ class SloMonitor:
         if self._ttft_hist is not None:
             self._ttft_hist.observe(record.ttft)
             self._tpot_hist.observe(record.tpot)
-        self._completions.append((self._sim.now, ttft_ok, tpot_ok))
+        self._completions.append((time, ttft_ok, tpot_ok))
         self._evict()
 
     def _evict(self) -> None:

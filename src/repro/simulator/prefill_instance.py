@@ -26,12 +26,11 @@ from typing import Callable, Deque
 from collections import deque
 
 from .events import Simulation
-from .instance import InstanceSpec
+from .instance import InstanceSpec, instrument_instance
 from .kvcache import KVBlockManager
 from .metrics import MetricsRegistry
-from .profiler import NULL_PROFILER, Profiler
+from .observer import Observer
 from .request import RequestPhase, RequestState
-from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.parallel import PrefillBatchTimer
 from ..latency.prefill import saturation_length
 from ..scheduling.batch import BatchPolicy, PrefillChunk, make_batch_policy
@@ -50,23 +49,15 @@ class PrefillInstance:
         on_prefill_done: Callback invoked (with the request state) when a
             request's first token is produced; the orchestration layer
             then arranges the KV pull.
-        batch_token_limit: Override for the batch-shaping threshold
-            ``L_m`` (defaults to the profiled saturation length).
-        queue_policy: ``"fcfs"`` (paper default), ``"sjf"``
-            (shortest-prompt-first with aging — the convoy-effect
-            mitigation the paper defers to future work), or ``"edf"``
-            (earliest deadline first).
-        sjf_aging: Seconds of queue wait equivalent to one prompt token
-            when ranking under ``"sjf"``; higher values age waiting
-            requests toward the front faster, bounding starvation.
         name: Identifier for reporting.
-        tracer: Optional lifecycle tracer receiving queue/exec spans.
-        profiler: Optional critical-path profiler receiving one exec
-            event per executed batch.
-        scheduling: Full policy configuration (:mod:`repro.scheduling`);
-            when given, its queue/batch policies and knobs override the
-            legacy ``queue_policy`` / ``sjf_aging`` /
-            ``batch_token_limit`` keywords.
+        observer: Receives this instance's lifecycle events: enqueue,
+            prefill start/end, first token, and one ``on_batch`` per
+            executed batch (:mod:`repro.simulator.observer`).
+        scheduling: Policy configuration (:mod:`repro.scheduling`): the
+            queue policy (``"fcfs"`` paper default, ``"sjf"`` with aging,
+            ``"edf"``), the batch policy, and an optional override of the
+            batch-shaping threshold ``L_m`` (defaults to the profiled
+            saturation length).
     """
 
     def __init__(
@@ -74,45 +65,32 @@ class PrefillInstance:
         sim: Simulation,
         spec: InstanceSpec,
         on_prefill_done: Callable[[RequestState], None],
-        batch_token_limit: "int | None" = None,
-        queue_policy: str = "fcfs",
-        sjf_aging: float = 2000.0,
         name: str = "prefill-0",
-        tracer: "Tracer | None" = None,
-        profiler: "Profiler | None" = None,
+        observer: "Observer | None" = None,
         scheduling: "SchedulingConfig | None" = None,
     ) -> None:
-        batch_policy = "token_budget"
-        edf_default_deadline = 10.0
-        if scheduling is not None:
-            queue_policy = scheduling.queue_policy
-            batch_policy = scheduling.batch_policy
-            sjf_aging = scheduling.sjf_aging
-            edf_default_deadline = scheduling.edf_default_deadline
-            if scheduling.batch_token_limit is not None:
-                batch_token_limit = scheduling.batch_token_limit
+        cfg = scheduling if scheduling is not None else SchedulingConfig()
         self._sim = sim
         self.spec = spec
         self.name = name
         self._on_done = on_prefill_done
         self._qpolicy: QueuePolicy = make_queue_policy(
-            queue_policy,
-            sjf_aging=sjf_aging,
-            edf_default_deadline=edf_default_deadline,
+            cfg.queue_policy,
+            sjf_aging=cfg.sjf_aging,
+            edf_default_deadline=cfg.edf_default_deadline,
             enqueue_stamp="prefill_enqueue",
         )
-        self._bpolicy: BatchPolicy = make_batch_policy(batch_policy)
+        self._bpolicy: BatchPolicy = make_batch_policy(cfg.batch_policy)
         self._queue: "Deque[RequestState]" = deque()
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs
         self._limit = (
-            batch_token_limit
-            if batch_token_limit is not None
+            cfg.batch_token_limit
+            if cfg.batch_token_limit is not None
             else saturation_length(spec.model, self._coeffs, tp=spec.config.tp)
         )
         self._jitter = spec.make_jitter(name)
-        self._trace = tracer if tracer is not None else NULL_TRACER
-        self._prof = profiler if profiler is not None else NULL_PROFILER
+        self._obs = observer if observer is not None else Observer()
         self._timer = PrefillBatchTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
         )
@@ -134,53 +112,22 @@ class PrefillInstance:
         """Requests waiting or in flight — the dispatch load signal."""
         return len(self._queue) + self._in_flight
 
-    @property
-    def batch_token_limit(self) -> int:
-        return self._limit
-
     def kv_tokens_held(self) -> int:
         """KV tokens parked on this instance awaiting pull."""
         return self._kv.used_blocks * self._kv.block_size
 
     def instrument(self, registry: MetricsRegistry) -> None:
-        """Register this instance's gauges/counters (callback-backed).
-
-        Idempotent and zero hot-path cost: every metric reads existing
-        instrumentation attributes or live structures at collection time.
-        """
-        labels = {"phase": "prefill", "instance": self.name}
-        registry.gauge(
-            "repro_queue_depth", "Requests waiting for a batch slot",
-            labels=labels, fn=lambda: len(self._queue),
+        """Register this instance's gauges/counters (callback-backed)."""
+        labels = instrument_instance(
+            registry, "prefill", self.name, self._sim, self._kv,
+            queue_depth=lambda: len(self._queue),
+            tokens=lambda: self.tokens_prefilled,
+            busy=lambda: self.busy_time,
+            batches=lambda: self.batches_executed,
         )
         registry.gauge(
             "repro_batch_inflight", "Batches in the pipeline conveyor",
             labels=labels, fn=lambda: self._in_flight,
-        )
-        registry.gauge(
-            "repro_kv_blocks_used", "KV-cache blocks allocated",
-            labels=labels, fn=lambda: self._kv.used_blocks,
-        )
-        registry.gauge(
-            "repro_kv_blocks_free", "KV-cache blocks available",
-            labels=labels, fn=lambda: self._kv.free_blocks,
-        )
-        registry.counter(
-            "repro_batches_total", "Batches/steps executed",
-            labels=labels, fn=lambda: self.batches_executed,
-        )
-        registry.counter(
-            "repro_tokens_total", "Tokens processed by the phase",
-            labels=labels, fn=lambda: self.tokens_prefilled,
-        )
-        registry.counter(
-            "repro_busy_seconds_total", "Virtual seconds spent executing",
-            labels=labels, fn=lambda: self.busy_time,
-        )
-        registry.gauge(
-            "repro_utilization", "Busy fraction of elapsed virtual time",
-            labels=labels,
-            fn=lambda: self.busy_time / self._sim.now if self._sim.now > 0 else 0.0,
         )
 
     # ------------------------------------------------------------------
@@ -188,9 +135,7 @@ class PrefillInstance:
         """Accept a dispatched request (FCFS)."""
         state.phase = RequestPhase.WAITING_PREFILL
         state.stamp("prefill_enqueue", self._sim.now)
-        self._trace.begin(
-            state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now, self.name
-        )
+        self._obs.on_enqueue(state, "prefill", self._sim.now, self.name)
         self._queue.append(state)
         self._arm_scheduler()
 
@@ -286,14 +231,7 @@ class PrefillInstance:
             state.phase = RequestPhase.PREFILLING
             state.stamp("prefill_start", start)
             if entry.first:
-                self._trace.end(state.request_id, SpanKind.PREFILL_QUEUE, start)
-                self._trace.begin(
-                    state.request_id,
-                    SpanKind.PREFILL_EXEC,
-                    start,
-                    self.name,
-                    batch_size=len(batch),
-                )
+                self._obs.on_prefill_start(state, start, self.name, len(batch))
             self._in_flight_states[state.request_id] = state
         assert request_latency >= 0.0  # latency model + jitter are nonnegative
         finish = start + request_latency
@@ -302,11 +240,10 @@ class PrefillInstance:
             if not self._alive:
                 return  # the instance died mid-batch; victims re-routed
             self._in_flight -= 1
-            if self._prof.enabled:
-                self._prof.record_exec(
-                    self.name, "prefill", start, self._sim.now,
-                    len(batch), batch_tokens,
-                )
+            self._obs.on_batch(
+                self.name, "prefill", start, self._sim.now,
+                len(batch), batch_tokens,
+            )
             for entry in batch:
                 state = entry.state
                 self._in_flight_states.pop(state.request_id, None)
@@ -315,20 +252,12 @@ class PrefillInstance:
                     # batch; finalization waits for the final chunk.
                     continue
                 state.stamp("prefill_end", self._sim.now)
-                self._trace.end(
-                    state.request_id, SpanKind.PREFILL_EXEC, self._sim.now
-                )
+                self._obs.on_prefill_end(state, self._sim.now)
                 state.recompute_len = None
                 if state.generated == 0:
                     state.record_token(self._sim.now)  # the first output token
-                    self._trace.span(
-                        state.request_id,
-                        SpanKind.DECODE_STEP,
-                        self._sim.now,
-                        self._sim.now,
-                        self.name,
-                        batch_size=len(batch),
-                        token_index=0,
+                    self._obs.on_token(
+                        state, self._sim.now, self._sim.now, self.name, len(batch)
                     )
                 state.phase = RequestPhase.TRANSFERRING
                 self._on_done(state)

@@ -7,13 +7,12 @@ was busy or idle, how full its batches ran, and when a decode instance
 sat blocked on KV transfers it could not yet pull. §3.1's interference
 argument and Figure 10's stage accounting both need this cluster view.
 
-A :class:`Profiler` is a passive event sink shared by every instance and
-the transfer engine, mirroring the tracer's injection pattern: components
-hold the :data:`NULL_PROFILER` singleton unless a real profiler is
-passed, and every hot-path call is guarded by ``profiler.enabled``. The
-record methods are deliberately allocation-light — they append plain
-tuples, no comprehensions, no dict churn (reprolint rule OBS001 enforces
-this for all profiler/metric hot paths).
+A :class:`Profiler` is an :class:`~repro.simulator.observer.Observer`
+subscribed to the run's observer bus, like the tracer: its ``on_*``
+handlers are the one place that decides the exec and transfer tuple
+layouts below. The handlers are deliberately allocation-light — they
+append plain tuples, no comprehensions, no dict churn (reprolint rule
+OBS001 enforces this for all profiler/metric hot paths).
 
 Collected streams (virtual-time seconds throughout):
 
@@ -34,24 +33,18 @@ event.
 
 from __future__ import annotations
 
-from typing import Any
+from .observer import Observer
 
-__all__ = ["ExecEvent", "NullProfiler", "Profiler", "NULL_PROFILER"]
-
-#: Field order of one exec-event tuple (documentation; events are plain
-#: tuples to keep the per-event hot path allocation-light).
-ExecEvent = "tuple[str, str, float, float, int, int]"
+__all__ = ["Profiler"]
 
 
-class Profiler:
+class Profiler(Observer):
     """Collects instance-level execution events in emission order.
 
     All three event streams are append-only lists of plain tuples, so a
     fixed-seed run produces an identical event sequence — the profile
     reports built from them are byte-deterministic.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         #: (instance, phase, start, end, batch_size, tokens) per batch/step.
@@ -67,7 +60,7 @@ class Profiler:
         return len(self.exec_events)
 
     # ------------------------------------------------------------------
-    def record_exec(
+    def on_batch(
         self,
         instance: str,
         phase: str,
@@ -79,7 +72,7 @@ class Profiler:
         """Record one executed batch/step/iteration on ``instance``."""
         self.exec_events.append((instance, phase, start, end, batch_size, tokens))
 
-    def record_transfer(
+    def on_transfer_wire(
         self, request_id: int, submitted: float, start: float, end: float
     ) -> None:
         """Record one KV migration (submit time, wire start, wire end)."""
@@ -96,7 +89,7 @@ class Profiler:
         if start is not None and time > start:
             self.pending_events.append((instance, start, time))
 
-    def note_pending(self, instance: str, blocked: bool, time: float) -> None:
+    def on_blocked(self, instance: str, blocked: bool, time: float) -> None:
         """Reconcile the pending state after a queue/in-flight mutation."""
         if blocked:
             self.begin_pending(instance, time)
@@ -104,10 +97,10 @@ class Profiler:
             self.end_pending(instance, time)
 
     # ------------------------------------------------------------------
-    def finish(self, now: float) -> None:
+    def on_finish(self, time: float) -> None:
         """Close any still-open pending intervals at simulation end.
 
-        Idempotent; :func:`repro.serving.base.simulate_trace` calls this
+        Idempotent; :func:`repro.serving.base.simulate_trace` emits this
         once the event queue drains so reports never see dangling
         intervals.
         """
@@ -116,8 +109,8 @@ class Profiler:
         self._finished = True
         for instance in sorted(self._open_pending):
             start = self._open_pending[instance]
-            if now > start:
-                self.pending_events.append((instance, start, now))
+            if time > start:
+                self.pending_events.append((instance, start, time))
         self._open_pending.clear()
 
     def instances(self) -> "list[str]":
@@ -128,36 +121,3 @@ class Profiler:
         for pending in self.pending_events:
             names.add(pending[0])
         return sorted(names)
-
-
-class NullProfiler(Profiler):
-    """The disabled profiler: every record method is a no-op.
-
-    Components default to the shared :data:`NULL_PROFILER`, and hot
-    paths additionally guard on ``enabled`` so a disabled profiler costs
-    one attribute load per event at most.
-    """
-
-    enabled = False
-
-    def record_exec(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def record_transfer(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def begin_pending(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def end_pending(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def note_pending(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def finish(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-
-#: Shared no-op profiler used when profiling is disabled.
-NULL_PROFILER = NullProfiler()

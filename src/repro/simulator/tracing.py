@@ -17,23 +17,29 @@ deterministic, replayable artifact:
   produces files viewable in Perfetto / ``chrome://tracing``, one row
   per request.
 
-Tracing is opt-in and zero-cost when disabled: components hold the
-shared :data:`NULL_TRACER` singleton (every method a no-op) unless an
-enabled tracer is injected, and hot paths guard on ``tracer.enabled``.
+A tracer is an :class:`~repro.simulator.observer.Observer`: the
+instances and serving systems emit lifecycle events on their run's
+observer bus, and the ``on_*`` handlers below are the one place that
+decides span kinds, begin/end pairing, and token indices. A run with no
+tracer subscribed records nothing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING
+
+from .observer import Observer
+
+if TYPE_CHECKING:
+    from ..workload.trace import Request
+    from .request import RequestRecord, RequestState
 
 __all__ = [
     "Span",
     "SpanKind",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "spans_by_request",
     "to_jsonl",
     "write_jsonl",
@@ -72,6 +78,10 @@ class SpanKind:
 
     #: Kinds that are instantaneous lifecycle events, not intervals.
     INSTANT = frozenset({ARRIVAL, COMPLETION, PREEMPTED, REJECTED})
+
+
+#: The interval span a request opens when it joins each queue.
+_QUEUE_SPANS = {"prefill": SpanKind.PREFILL_QUEUE, "decode": SpanKind.DECODE_QUEUE}
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,7 @@ class Span:
         }
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects spans in emission order (deterministic under a fixed seed).
 
     Interval spans use :meth:`begin` / :meth:`end` keyed by
@@ -133,14 +143,9 @@ class Tracer:
     directly with :meth:`span`; lifecycle points with :meth:`instant`.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.spans: "list[Span]" = []
         self._open: "dict[tuple[int, str], tuple[float, str, int]]" = {}
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     # ------------------------------------------------------------------
     def begin(
@@ -213,6 +218,69 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
+    # Lifecycle events -> spans
+    # ------------------------------------------------------------------
+    def on_arrival(self, request: "Request", time: float) -> None:
+        self.instant(request.request_id, SpanKind.ARRIVAL, time)
+
+    def on_enqueue(
+        self, state: "RequestState", queue: str, time: float, instance: str
+    ) -> None:
+        self.begin(state.request_id, _QUEUE_SPANS[queue], time, instance)
+
+    def on_prefill_start(
+        self, state: "RequestState", time: float, instance: str, batch_size: int
+    ) -> None:
+        request_id = state.request_id
+        self.end(request_id, SpanKind.PREFILL_QUEUE, time)
+        self.begin(request_id, SpanKind.PREFILL_EXEC, time, instance, batch_size)
+
+    def on_prefill_end(self, state: "RequestState", time: float) -> None:
+        self.end(state.request_id, SpanKind.PREFILL_EXEC, time)
+
+    def on_decode_start(self, state: "RequestState", time: float) -> None:
+        self.end(state.request_id, SpanKind.DECODE_QUEUE, time)
+
+    def on_token(
+        self, state: "RequestState", start: float, end: float,
+        instance: str = "", batch_size: int = 0, count: int = 1,
+    ) -> None:
+        # Token index 0 is the prefill-produced first token.
+        generated = state.generated
+        for index in range(generated - count, generated):
+            self.span(
+                state.request_id, SpanKind.DECODE_STEP, start, end,
+                instance, batch_size, index,
+            )
+
+    def on_tokens(
+        self, batch: "list[RequestState]", start: float, end: float, instance: str
+    ) -> None:
+        size = len(batch)
+        for state in batch:
+            self.span(
+                state.request_id, SpanKind.DECODE_STEP, start, end,
+                instance, size, state.generated - 1,
+            )
+
+    def on_preempt(self, state: "RequestState", time: float, instance: str) -> None:
+        self.instant(state.request_id, SpanKind.PREEMPTED, time, instance)
+
+    def on_transfer_start(
+        self, state: "RequestState", time: float, source: str, dest: str
+    ) -> None:
+        # Opens when the cache is ready to migrate: under the pull policy
+        # the span covers any time parked on prefill memory, matching the
+        # record-level transfer stage (prefill_end .. transfer_end).
+        self.begin(state.request_id, SpanKind.KV_TRANSFER, time, f"{source}->{dest}")
+
+    def on_transfer_end(self, state: "RequestState", time: float) -> None:
+        self.end(state.request_id, SpanKind.KV_TRANSFER, time)
+
+    def on_completion(self, record: "RequestRecord", time: float) -> None:
+        self.instant(record.request_id, SpanKind.COMPLETION, time)
+
+    # ------------------------------------------------------------------
     def open_spans(self) -> "list[tuple[int, str, float]]":
         """Still-open intervals as (request_id, kind, start) — requests
         in flight when the simulation stopped."""
@@ -223,33 +291,6 @@ class Tracer:
     def spans_for(self, request_id: int) -> "list[Span]":
         """All completed spans of one request, in emission order."""
         return [s for s in self.spans if s.request_id == request_id]
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: every method is a no-op, every query empty.
-
-    Components default to the shared :data:`NULL_TRACER` so span
-    emission costs one attribute load and a no-op call — and the
-    per-token hot path skips even that by guarding on ``enabled``.
-    """
-
-    enabled = False
-
-    def begin(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def end(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def span(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def instant(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-
-#: Shared no-op tracer used when tracing is disabled.
-NULL_TRACER = NullTracer()
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 from ..quantities import Bytes, Seconds
 from .events import Simulation
 from .metrics import Histogram, MetricsRegistry, exponential_buckets
-from .profiler import NULL_PROFILER, Profiler
+from .observer import Observer
 from ..hardware.network import NetworkLink
 
 __all__ = ["TransferEngine", "TransferRecord"]
@@ -48,12 +48,13 @@ class TransferEngine:
 
     Each distinct :class:`NetworkLink` object is an independent FIFO
     resource; transfers over the same link serialize, transfers over
-    different links proceed concurrently.
+    different links proceed concurrently. Each submission emits
+    ``on_transfer_wire`` on ``observer``.
     """
 
-    def __init__(self, sim: Simulation, profiler: "Profiler | None" = None) -> None:
+    def __init__(self, sim: Simulation, observer: "Observer | None" = None) -> None:
         self._sim = sim
-        self._prof = profiler if profiler is not None else NULL_PROFILER
+        self._obs = observer if observer is not None else Observer()
         self._links: "dict[int, _LinkState]" = {}
         self.records: "list[TransferRecord]" = []
         self.total_bytes = 0.0
@@ -122,8 +123,7 @@ class TransferEngine:
         self.total_bytes += num_bytes
         self.transfers_submitted += 1
         self.stall_time += start - self._sim.now
-        if self._prof.enabled:
-            self._prof.record_transfer(request_id, self._sim.now, start, end)
+        self._obs.on_transfer_wire(request_id, self._sim.now, start, end)
         if self._duration_hist is not None:
             self._duration_hist.observe(duration)
 

@@ -379,7 +379,7 @@ class TestObservabilityFallback:
         sim = Simulation()
         tracer = Tracer()
         inst = DecodeInstance(
-            sim, tiny_spec, lambda s: None, tracer=tracer, fast_kernel=True
+            sim, tiny_spec, lambda s: None, observer=tracer, fast_kernel=True
         )
         assert inst._capped
 

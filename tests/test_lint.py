@@ -471,6 +471,22 @@ class TestOBS001:
         """, select=["OBS001"])
         assert rules_of(findings) == ["OBS001"]
 
+    def test_positive_comprehension_in_subscriber_handler(self):
+        findings = run("""
+            class Monitor(Observer):
+                def on_completion(self, record, time):
+                    self.late.extend([t for t in record.token_times if t > time])
+        """, select=["OBS001"])
+        assert rules_of(findings) == ["OBS001"]
+
+    def test_positive_subscriber_handler_in_core(self):
+        findings = run("""
+            class AbortMonitor(Observer):
+                def on_arrival(self, request, time):
+                    self.seen.append({request.request_id: time for _ in (0,)})
+        """, module="repro.core.fixture", select=["OBS001"])
+        assert rules_of(findings) == ["OBS001"]
+
     def test_positive_metric_callback_comprehension(self):
         findings = run("""
             def instrument(registry, queues):

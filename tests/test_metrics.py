@@ -249,7 +249,7 @@ class TestSloMonitor:
             _record(3, ttft=1.0, tpot=0.1),    # boundary: <= attains
         ]
         for r in records:
-            mon.observe_completion(r)
+            mon.on_completion(r, sim.now)
         offline = slo_attainment(records, mon.slo)
         cum = mon.cumulative_attainment()
         assert cum.total == offline.total
@@ -259,9 +259,9 @@ class TestSloMonitor:
 
     def test_window_evicts_old_completions(self):
         sim, mon = self._monitor(window=10.0)
-        mon.observe_completion(_record(0, ttft=5.0))  # violation at t=0
+        mon.on_completion(_record(0, ttft=5.0), sim.now)  # violation at t=0
         sim._now = 20.0  # jump past the window
-        mon.observe_completion(_record(1, ttft=0.5))
+        mon.on_completion(_record(1, ttft=0.5), sim.now)
         win = mon.windowed_attainment()
         assert win.num_requests == 1
         assert win.total == 1.0
@@ -275,17 +275,17 @@ class TestSloMonitor:
         assert mon.cumulative_attainment().num_requests == 0
 
     def test_violation_streaks(self):
-        _sim, mon = self._monitor()
+        sim, mon = self._monitor()
         for ttft in (5.0, 5.0, 0.5, 5.0, 5.0, 5.0):
-            mon.observe_completion(_record(ttft=ttft))
+            mon.on_completion(_record(ttft=ttft), sim.now)
         assert mon.violation_streak == 3
         assert mon.longest_violation_streak == 3
 
     def test_windowed_goodput_keys_and_span(self):
         sim, mon = self._monitor(window=10.0)
         sim._now = 5.0
-        mon.observe_completion(_record(ttft=0.5))
-        mon.observe_completion(_record(ttft=5.0))  # ttft miss, tpot ok
+        mon.on_completion(_record(ttft=0.5), sim.now)
+        mon.on_completion(_record(ttft=5.0), sim.now)  # ttft miss, tpot ok
         gp = mon.windowed_goodput()
         assert gp["total"] == pytest.approx(1 / 5.0)
         assert gp["ttft"] == pytest.approx(1 / 5.0)
@@ -295,8 +295,9 @@ class TestSloMonitor:
         sim, mon = self._monitor(window=10.0)
         for i in range(3):
             sim._now = float(i)
-            mon.observe_arrival(
-                Request(request_id=i, arrival_time=sim.now, input_len=8, output_len=2)
+            mon.on_arrival(
+                Request(request_id=i, arrival_time=sim.now, input_len=8, output_len=2),
+                sim.now,
             )
         assert [r.request_id for r in mon.arrival_window()] == [0, 1, 2]
         sim._now = 11.5  # arrivals at t=0,1 age out
@@ -305,7 +306,7 @@ class TestSloMonitor:
 
     def test_registry_self_registration(self):
         reg = MetricsRegistry()
-        _sim, mon = self._monitor(registry=reg)
+        sim, mon = self._monitor(registry=reg)
         for name in (
             "repro_slo_arrivals_total",
             "repro_slo_completions_total",
@@ -318,7 +319,7 @@ class TestSloMonitor:
             "repro_tpot_seconds",
         ):
             assert name in reg
-        mon.observe_completion(_record(ttft=5.0))
+        mon.on_completion(_record(ttft=5.0), sim.now)
         violations = reg.get("repro_slo_violations_total", {"objective": "total"})
         assert violations.value == 1
         assert reg.get("repro_ttft_seconds").count == 1
@@ -437,6 +438,26 @@ class TestSystemInstrumentation:
         assert mon.arrived == len(trace)
         assert mon.completed == len(trace)
 
+    def test_attached_monitors_accumulate(self, tiny_spec):
+        """A second attach_monitor adds a subscriber; the first keeps
+        seeing every arrival and completion."""
+        sim = Simulation()
+        system = DisaggregatedSystem(sim, tiny_spec, tiny_spec)
+        first = SloMonitor(sim, SLO(ttft=1.0, tpot=0.1))
+        second = SloMonitor(sim, SLO(ttft=0.01, tpot=0.001))
+        system.attach_monitor(first)
+        system.attach_monitor(second)
+        trace = generate_trace(
+            SHAREGPT, rate=4.0, num_requests=20, rng=np.random.default_rng(3)
+        )
+        result = simulate_trace(system, trace)
+        assert result.completed == len(trace)
+        for mon in (first, second):
+            assert mon.arrived == len(trace)
+            assert mon.completed == len(trace)
+            offline = slo_attainment(result.records, mon.slo)
+            assert mon.cumulative_attainment().total == offline.total
+
     def test_cumulative_attainment_matches_offline_exactly(self, tiny_spec):
         _sys, _reg, mon, result, slo, _trace = _instrumented_disagg_run(tiny_spec)
         offline = slo_attainment(result.records, slo)
@@ -541,8 +562,9 @@ class TestProfilerFromMonitor:
         sim = Simulation()
         mon = SloMonitor(sim, SLO(ttft=1.0, tpot=0.1), window=1000.0)
         for i in range(10):
-            mon.observe_arrival(
-                Request(request_id=i, arrival_time=0.0, input_len=8, output_len=2)
+            mon.on_arrival(
+                Request(request_id=i, arrival_time=0.0, input_len=8, output_len=2),
+                sim.now,
             )
         prof = WorkloadProfiler.from_monitor(mon, window_size=4)
         assert len(prof) == 4

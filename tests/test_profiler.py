@@ -17,14 +17,13 @@ from repro.serving import (
     simulate_trace,
 )
 from repro.simulator import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
     Simulation,
+    SloMonitor,
     Tracer,
     to_jsonl,
 )
-from repro.workload import generate_trace, get_dataset
+from repro.workload import SLO, generate_trace, get_dataset
 
 
 def _run(system_cls, spec, profiler=None, tracer=None, **kwargs):
@@ -49,8 +48,8 @@ def _run(system_cls, spec, profiler=None, tracer=None, **kwargs):
 class TestProfilerUnit:
     def test_record_exec_appends_plain_tuples(self):
         prof = Profiler()
-        prof.record_exec("prefill-0", "prefill", 1.0, 2.0, 3, 512)
-        prof.record_exec("decode-0", "decode", 2.0, 2.5, 4, 4)
+        prof.on_batch("prefill-0", "prefill", 1.0, 2.0, 3, 512)
+        prof.on_batch("decode-0", "decode", 2.0, 2.5, 4, 4)
         assert prof.exec_events == [
             ("prefill-0", "prefill", 1.0, 2.0, 3, 512),
             ("decode-0", "decode", 2.0, 2.5, 4, 4),
@@ -59,7 +58,7 @@ class TestProfilerUnit:
 
     def test_record_transfer(self):
         prof = Profiler()
-        prof.record_transfer(42, 1.0, 1.25, 1.5)
+        prof.on_transfer_wire(42, 1.0, 1.25, 1.5)
         assert prof.transfer_events == [(42, 1.0, 1.25, 1.5)]
 
     def test_pending_open_close(self):
@@ -82,50 +81,68 @@ class TestProfilerUnit:
 
     def test_note_pending_reconciles(self):
         prof = Profiler()
-        prof.note_pending("decode-0", True, 1.0)
-        prof.note_pending("decode-0", True, 2.0)   # still blocked: no-op
-        prof.note_pending("decode-0", False, 3.0)
-        prof.note_pending("decode-0", False, 4.0)  # already closed: no-op
+        prof.on_blocked("decode-0", True, 1.0)
+        prof.on_blocked("decode-0", True, 2.0)   # still blocked: no-op
+        prof.on_blocked("decode-0", False, 3.0)
+        prof.on_blocked("decode-0", False, 4.0)  # already closed: no-op
         assert prof.pending_events == [("decode-0", 1.0, 3.0)]
 
     def test_finish_closes_open_intervals_sorted(self):
         prof = Profiler()
         prof.begin_pending("decode-1", 2.0)
         prof.begin_pending("decode-0", 1.0)
-        prof.finish(5.0)
+        prof.on_finish(5.0)
         assert prof.pending_events == [
             ("decode-0", 1.0, 5.0),
             ("decode-1", 2.0, 5.0),
         ]
         # Idempotent: a second finish appends nothing.
-        prof.finish(9.0)
+        prof.on_finish(9.0)
         assert len(prof.pending_events) == 2
 
     def test_instances_sorted_union(self):
         prof = Profiler()
-        prof.record_exec("b", "decode", 0.0, 1.0, 1, 1)
+        prof.on_batch("b", "decode", 0.0, 1.0, 1, 1)
         prof.begin_pending("a", 0.0)
-        prof.finish(1.0)
+        prof.on_finish(1.0)
         assert prof.instances() == ["a", "b"]
 
 
-class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        null = NullProfiler()
-        assert null.enabled is False
-        null.record_exec("x", "prefill", 0.0, 1.0, 1, 1)
-        null.record_transfer(1, 0.0, 0.0, 1.0)
-        null.begin_pending("x", 0.0)
-        null.note_pending("x", True, 0.0)
-        null.end_pending("x", 1.0)
-        null.finish(2.0)
-        assert null.exec_events == []
-        assert null.transfer_events == []
-        assert null.pending_events == []
+class TestObserverCapping:
+    def test_only_step_observers_cap_decode_runs(self, tiny_spec):
+        """No subscriber: runs stay uncapped and nothing is recorded. A
+        tracer alone or a profiler alone caps runs at one step (more
+        events, identical records); a monitor alone does not."""
+        def run(tracer=None, profiler=None, monitor=False):
+            sim = Simulation()
+            system = DisaggregatedSystem(
+                sim, tiny_spec, tiny_spec, tracer=tracer, profiler=profiler
+            )
+            if monitor:
+                system.attach_monitor(SloMonitor(sim, SLO(ttft=1.0, tpot=0.1)))
+            trace = generate_trace(
+                get_dataset("humaneval"), rate=4.0, num_requests=10,
+                rng=np.random.default_rng(7),
+            )
+            capped = [inst._capped for inst in system.decode_instances]
+            return system, simulate_trace(system, trace), capped
 
-    def test_shared_singleton(self):
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        assert NULL_PROFILER.enabled is False
+        bare_system, bare, bare_capped = run()
+        assert bare_system.observer.subscribers == []
+        assert bare_capped == [False]
+        assert bare.spans == []
+        tracer, profiler = Tracer(), Profiler()
+        _, traced, traced_capped = run(tracer=tracer)
+        _, profiled, profiled_capped = run(profiler=profiler)
+        _, monitored, monitored_capped = run(monitor=True)
+        assert traced_capped == profiled_capped == [True]
+        assert monitored_capped == [False]
+        assert len(tracer.spans) > 0 and len(profiler.exec_events) > 0
+        assert traced.events_processed == profiled.events_processed
+        assert traced.events_processed > bare.events_processed
+        assert monitored.events_processed == bare.events_processed
+        for result in (traced, profiled, monitored):
+            assert result.records == bare.records
 
 
 class TestProfilerWiring:

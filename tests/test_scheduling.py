@@ -130,8 +130,9 @@ class TestEDFQueue:
             sim,
             tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            scheduling=SchedulingConfig(queue_policy="edf"),
-            batch_token_limit=tiny_spec.model.max_seq_len,
+            scheduling=SchedulingConfig(
+                queue_policy="edf", batch_token_limit=tiny_spec.model.max_seq_len
+            ),
         )
         big = tiny_spec.model.max_seq_len  # one request per batch
         states = make_states([(big, 2), (big, 2), (big, 2)])
@@ -205,8 +206,7 @@ class TestBatchPolicies:
             sim,
             tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            scheduling=SchedulingConfig(batch_policy="chunked"),
-            batch_token_limit=256,
+            scheduling=SchedulingConfig(batch_policy="chunked", batch_token_limit=256),
         )
         for s in make_states([(1000, 2), (100, 2), (700, 2)]):
             inst.submit(s)
@@ -304,8 +304,7 @@ class TestFailureReleasesKV:
         sim = Simulation()
         inst = PrefillInstance(
             sim, tiny_spec, on_prefill_done=lambda s: None,
-            scheduling=SchedulingConfig(batch_policy="chunked"),
-            batch_token_limit=128,
+            scheduling=SchedulingConfig(batch_policy="chunked", batch_token_limit=128),
         )
         for s in make_states([(1000, 2), (600, 2)]):
             inst.submit(s)

@@ -18,7 +18,6 @@ from repro.serving import (
     simulate_trace,
 )
 from repro.simulator import (
-    NULL_TRACER,
     InstanceSpec,
     Simulation,
     Span,
@@ -108,15 +107,6 @@ class TestTracer:
         assert [s.kind for s in tracer.spans_for(1)] == [
             SpanKind.ARRIVAL, SpanKind.COMPLETION
         ]
-
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.begin(1, SpanKind.PREFILL_QUEUE, 0.0)
-        NULL_TRACER.end(1, SpanKind.PREFILL_QUEUE, 1.0)
-        NULL_TRACER.span(1, SpanKind.DECODE_STEP, 0.0, 1.0)
-        NULL_TRACER.instant(1, SpanKind.ARRIVAL, 0.0)
-        assert not NULL_TRACER.enabled
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.open_spans() == []
 
 
 class TestExporters:
