@@ -2,10 +2,14 @@
 
 Measures multi-step decode runs (DESIGN.md §4h) against the per-step
 reference — the same engine with every run capped at one step
-(``fast_kernel=False``) — on two workloads:
+(``fast_kernel=False``) — on three workloads:
 
 * ``decode_heavy`` — a decode-only trial with long generations, the
   workload multi-step runs exist for. Acceptance floor: **3x**.
+* ``decode_saturated`` — a 4000-request ShareGPT decode-only trial at
+  rate 200, past the decode knee where rate bisection spends its probes:
+  every arrival cuts a run short, so runs are about one step long and
+  the gain comes from lazy token accounting, not from long runs.
 * ``fig12_sweep`` — the Figure 12 placement-search sweep (quick sizes),
   runs uncapped vs. capped with otherwise identical settings. The search
   interleaves prefill/decode/joint trials with enumeration and pruning
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -76,12 +82,12 @@ def _time_trace(make_system, trace, rounds):
     return best, records
 
 
-def bench_decode_heavy(num_requests, rounds):
-    """Decode-only trial, fast vs slow; returns (row, parity)."""
+def _bench_decode_only(scenario, dataset, rate, num_requests, rounds):
+    """Decode-only opt-13b trial, fast vs slow; returns (row, parity)."""
     model = get_model("opt-13b")
     spec = InstanceSpec(model=model, config=ParallelismConfig(1, 1))
     trace = generate_trace(
-        DECODE_HEAVY, rate=6.0, num_requests=num_requests,
+        dataset, rate=rate, num_requests=num_requests,
         rng=np.random.default_rng(0),
     )
     slow_s, slow_records = _time_trace(
@@ -93,13 +99,26 @@ def bench_decode_heavy(num_requests, rounds):
         trace, rounds,
     )
     row = {
-        "scenario": "decode_heavy",
+        "scenario": scenario,
         "num_requests": num_requests,
+        "rate": rate,
         "slow_s": round(slow_s, 4),
         "fast_s": round(fast_s, 4),
         "speedup_vs_baseline": round(slow_s / fast_s, 2),
     }
     return row, fast_records == slow_records
+
+
+def bench_decode_heavy(num_requests, rounds):
+    return _bench_decode_only(
+        "decode_heavy", DECODE_HEAVY, 6.0, num_requests, rounds
+    )
+
+
+def bench_decode_saturated(rounds):
+    return _bench_decode_only(
+        "decode_saturated", get_dataset("sharegpt"), 200.0, 4000, rounds
+    )
 
 
 def bench_disaggregated_parity(num_requests, rounds):
@@ -181,13 +200,20 @@ def bench_fig12_sweep(num_requests):
 
 def run_kernel_bench(num_requests=200, sweep_requests=60, rounds=3):
     heavy_row, heavy_parity = bench_decode_heavy(num_requests, rounds)
+    saturated_row, saturated_parity = bench_decode_saturated(rounds)
     mixed_row, mixed_parity = bench_disaggregated_parity(num_requests, rounds)
     sweep_row, placement_parity = bench_fig12_sweep(sweep_requests)
     return {
         "description": "multi-step decode runs vs decode runs capped at one "
                        "step (the per-step reference)",
-        "runs": [heavy_row, mixed_row, sweep_row],
-        "record_parity": bool(heavy_parity and mixed_parity),
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "runs": [heavy_row, saturated_row, mixed_row, sweep_row],
+        "record_parity": bool(
+            heavy_parity and saturated_parity and mixed_parity
+        ),
         "placement_parity": bool(placement_parity),
     }
 

@@ -27,6 +27,19 @@ a time, so results are bit-identical for any run length. A submission
 landing mid-run truncates the run at the next step boundary, refunding
 unused jitter draws so the RNG stream stays aligned.
 
+**Lazy token accounting.** A run end touches only the requests that
+finish. The instance counts completed steps in ``_step`` and appends
+each materialized step boundary to a boundary log; each active request
+remembers its *join step* (the step count when it was admitted or last
+brought up to date), so its true ``generated`` is the stored value plus
+``_step - join``. A heap keyed ``(join + remaining, admission order)``
+gives the run bound at ``heap[0]`` and pops finishers in the order they
+complete. A request is brought up to date, with one ``record_tokens``
+call on the log slice since its join step, only when it finishes, when
+``fail()`` takes it as a victim, or when a capped run end hands the
+batch to ``on_tokens``. The log drops entries below the oldest active
+join step as it grows.
+
 The per-step reference is this engine with every run capped at one
 step. One predicate caps runs: ``fast_kernel=False``, a metrics
 registry sampling live state (:meth:`DecodeInstance.instrument`), or
@@ -42,6 +55,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable, Deque
 
 from .events import Simulation
@@ -56,6 +71,10 @@ from ..scheduling.config import SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
 
 __all__ = ["DecodeInstance"]
+
+#: Boundary-log length below which the log is never trimmed; above it a
+#: trim runs each time the log has doubled since the last one.
+_LOG_TRIM_MIN = 4096
 
 
 class DecodeInstance:
@@ -103,7 +122,8 @@ class DecodeInstance:
         )
         self._bpolicy: BatchPolicy = make_batch_policy(cfg.batch_policy)
         self._waiting: "Deque[RequestState]" = deque()
-        self._active: "list[RequestState]" = []
+        # Keyed by request id in admission order: a finisher leaves in O(1).
+        self._active: "dict[int, RequestState]" = {}
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._jitter = spec.make_jitter(name)
         self._obs = observer if observer is not None else Observer()
@@ -119,8 +139,18 @@ class DecodeInstance:
         # constant 1.0 (x * 1.0 is bitwise x), so run planning may skip
         # the draw calls without perturbing any stream position.
         self._unit_jitter = spec.jitter_sigma == 0.0
+        # Lazy token accounting (module docstring): completed steps, the
+        # boundary times of steps ``_log_base`` onwards, each active
+        # request's join step, and the finish heap of
+        # ``(finish step, admission seq, state)``.
+        self._step = 0
+        self._log: "list[float]" = []
+        self._log_base = 0
+        self._trim_at = _LOG_TRIM_MIN
+        self._joined: "dict[int, int]" = {}
+        self._finish: "list[tuple[int, int, RequestState]]" = []
+        self._admissions = 0
         # State of the in-flight run (empty when idle).
-        self._run_batch: "list[RequestState]" = []
         self._run_start = 0.0
         self._run_boundaries: "list[float]" = []
         self._run_durations: "list[float]" = []
@@ -165,7 +195,7 @@ class DecodeInstance:
             done = bisect_left(
                 self._run_boundaries, self._sim.now, self._run_cursor
             )
-            extra = (done - self._run_cursor) * len(self._run_batch)
+            extra = (done - self._run_cursor) * len(self._active)
         return self._active_context_tokens + extra
 
     @property
@@ -265,7 +295,13 @@ class DecodeInstance:
             head.phase = RequestPhase.DECODING
             head.stamp("decode_start", self._sim.now)
             self._obs.on_decode_start(head, self._sim.now)
-            self._active.append(head)
+            self._active[head.request_id] = head
+            self._joined[head.request_id] = self._step
+            heappush(
+                self._finish,
+                (self._step + head.remaining_tokens, self._admissions, head),
+            )
+            self._admissions += 1
             self._active_context_tokens += head.context_len
 
     def _kick(self) -> None:
@@ -296,19 +332,17 @@ class DecodeInstance:
         step's boundary. The first step may overshoot the horizon — it
         is in flight either way, and mid-flight events only enqueue.
         """
-        active = self._active
-        if self._capped:
-            max_steps = 1
+        step = self._step
+        max_steps = 1 if self._capped else self._finish[0][0] - step
+        pp = self.spec.config.pp
+        mb_size = -(-len(self._active) // pp)
+        if pp == 1:
+            mb_context = self._active_context_tokens
         else:
-            max_steps = active[0].remaining_tokens
-            for state in active:
-                remaining = state.remaining_tokens
-                if remaining < max_steps:
-                    max_steps = remaining
-        mb_size = -(-len(active) // self.spec.config.pp)
-        mb_context = 0
-        for state in active[:mb_size]:
-            mb_context += state.context_len
+            joined = self._joined
+            mb_context = 0
+            for request_id, state in islice(self._active.items(), mb_size):
+                mb_context += state.context_len + step - joined[request_id]
         latency = self._timer.step_latency_fn(mb_size)
         peek = self._sim.peek_time()
         boundaries: "list[float]" = []
@@ -342,7 +376,6 @@ class DecodeInstance:
                 jitters.append(noise)
                 mb_context += mb_size
                 steps += 1
-        self._run_batch = list(active)
         self._run_start = self._sim.now
         self._run_boundaries = boundaries
         self._run_durations = durations
@@ -369,8 +402,8 @@ class DecodeInstance:
 
         Each completed boundary starts the next step, which is charged
         then, in boundary order (preserving the float-addition sequence
-        of stepping one at a time); token times advance with one bulk
-        operation per request, value-identical to per-step appends.
+        of stepping one at a time). The boundaries join the log and the
+        step counter advances; no request is touched.
         """
         cursor = self._run_cursor
         if upto <= cursor:
@@ -379,40 +412,93 @@ class DecodeInstance:
         for step in range(cursor + 1, min(upto + 1, len(durations))):
             self.steps_executed += 1
             self.busy_time += durations[step]
-        step_times = self._run_boundaries[cursor:upto]
-        batch = self._run_batch
-        for state in batch:
-            state.record_tokens(step_times)
+        self._log += self._run_boundaries[cursor:upto]
         count = upto - cursor
-        self.tokens_generated += count * len(batch)
-        self._active_context_tokens += count * len(batch)
+        self._step += count
+        tokens = count * len(self._active)
+        self.tokens_generated += tokens
+        self._active_context_tokens += tokens
         self._run_cursor = upto
+        if len(self._log) >= self._trim_at:
+            self._trim_log()
+
+    def _trim_log(self) -> None:
+        """Drop log entries below the oldest active join step.
+
+        The O(batch) scan runs only once the log has doubled since the
+        last trim, so its cost spreads over at least as many steps.
+        """
+        low = min(self._joined.values(), default=self._step)
+        del self._log[: low - self._log_base]
+        self._log_base = low
+        self._trim_at = max(_LOG_TRIM_MIN, 2 * len(self._log))
+
+    def _sync_all(self) -> None:
+        """Record every active request's tokens since its join step.
+
+        One ``record_tokens`` call on a slice of the boundary log is
+        value-identical to one append per step. Join steps never
+        decrease in admission order, so requests that share a join step
+        are adjacent and reuse one slice.
+        """
+        step = self._step
+        base = self._log_base
+        log = self._log
+        joined = self._joined
+        last_join = step
+        times: "list[float]" = []
+        for request_id, state in self._active.items():
+            join = joined[request_id]
+            if join != last_join:
+                last_join = join
+                times = log[join - base : step - base]
+            if times:
+                state.record_tokens(times)
+        self._joined = dict.fromkeys(self._active, step)
 
     def _finish_run(self, generation: int) -> None:
         if not self._alive or generation != self._run_generation:
             return  # stale run-end, or the instance failed mid-run
         self._materialize(len(self._run_boundaries))
         if self._capped:
-            batch = self._run_batch
+            # Observers read the batch's token state, so bring it up to date.
+            self._sync_all()
+            batch = list(self._active.values())
             start, end = self._run_start, self._run_boundaries[0]
             self._obs.on_tokens(batch, start, end, self.name)
             self._obs.on_batch(
                 self.name, "decode", start, end, len(batch), len(batch)
             )
-        finished = [state for state in self._run_batch if state.is_finished]
+        finished = self._pop_finished()
         self._clear_run()
+        step = self._step
+        base = self._log_base
         for state in finished:
-            # Identity filter: list.remove would run the dataclass
-            # __eq__ against every request ahead of this one.
-            self._active = [s for s in self._active if s is not state]
+            request_id = state.request_id
+            del self._active[request_id]
+            join = self._joined.pop(request_id)
+            if join < step:
+                state.record_tokens(self._log[join - base : step - base])
             self._active_context_tokens -= state.context_len
             self._kv.free(state.request_id)
             state.phase = RequestPhase.FINISHED
             self._on_done(state)
         self._continue()
 
+    def _pop_finished(self) -> "list[RequestState]":
+        """Requests whose last step has completed, in admission order.
+
+        Runs never pass the earliest finish step, so every finisher at a
+        run end shares one finish step and the heap's tie-break on
+        admission order is the order the active set holds them.
+        """
+        finish = self._finish
+        finished = []
+        while finish and finish[0][0] <= self._step:
+            finished.append(heappop(finish)[2])
+        return finished
+
     def _clear_run(self) -> None:
-        self._run_batch = []
         self._run_boundaries = []
         self._run_durations = []
         self._run_jitters = []
@@ -440,11 +526,16 @@ class DecodeInstance:
         self._run_generation += 1
         self._clear_run()
         self._alive = False
-        victims = list(self._active) + list(self._waiting)
+        self._sync_all()
+        victims = list(self._active.values()) + list(self._waiting)
         for state in victims:
             self._kv.free(state.request_id)
             state.recompute_len = state.context_len
         self._active.clear()
+        self._joined.clear()
+        self._finish.clear()
+        self._log.clear()
+        self._log_base = self._step
         self._waiting.clear()
         self._active_context_tokens = 0
         self._stepping = False

@@ -11,6 +11,7 @@ runs must both reproduce it bit for bit. No tolerances.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 
@@ -26,6 +27,7 @@ from repro.latency import (
     decode_times,
     prefill_times,
 )
+from repro.models import get_model
 from repro.models.memory import compute_memory_budget
 from repro.serving import (
     ColocatedSystem,
@@ -34,14 +36,19 @@ from repro.serving import (
     PrefillOnlySystem,
     simulate_trace,
 )
-from repro.simulator import InstanceSpec, SimSanitizer, Simulation
+from repro.simulator import (
+    InstanceSpec,
+    SimSanitizer,
+    Simulation,
+    decode_instance,
+)
 from repro.simulator.colocated_instance import POLICIES
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.request import Request, RequestPhase, RequestState
 from repro.simulator.telemetry import TelemetryRecorder
 from repro.simulator.tracing import Tracer
-from repro.workload import fixed_length_dataset, generate_trace
+from repro.workload import fixed_length_dataset, generate_trace, get_dataset
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.distributions import LognormalLength
 
@@ -112,6 +119,9 @@ def _digest(value) -> str:
 #: Digests of ``_parity``/``_drive_decode``/``_drive_midstream``/
 #: ``_counter_series`` outputs recorded from the per-step reference
 #: engine (``fast_kernel=False``) before it was folded into capped runs.
+#: ``decode_ties`` and ``decode_fail_pp2_jitter`` were recorded, on both
+#: paths, from the engine that recorded every request's tokens at every
+#: run end, before lazy token accounting replaced it.
 PINNED = {
     "decode_only": "f1865e2b11ae9502",
     "prefill_only": "77063353977a79ce",
@@ -127,6 +137,8 @@ PINNED = {
     "decode_fail": "87ca58ae860cc1c8",
     "decode_midstream": "86a7a59d8245e877",
     "counter_series": "911d3045ff0f97d1",
+    "decode_ties": "b31591a3afc11970",
+    "decode_fail_pp2_jitter": "6bec0a2533fa0fd8",
 }
 
 
@@ -236,8 +248,12 @@ def _small_gpu(model, target_tokens):
     return dataclasses.replace(A100_80GB, memory_bytes=lo)
 
 
-def _drive_decode(spec, fast, *, n=60, seed=7, fail_at=None):
-    """Feed ``n`` decode requests; return (records, counters, done-count)."""
+def _drive_decode(spec, fast, *, n=60, seed=7, fail_at=None, victims=None):
+    """Feed ``n`` decode requests; return (records, counters, done-count).
+
+    With ``fail_at`` the instance fails then; its victims are appended to
+    ``victims`` when a list is given.
+    """
     rng = np.random.default_rng(seed)
     sim = Simulation()
     done = []
@@ -260,7 +276,8 @@ def _drive_decode(spec, fast, *, n=60, seed=7, fail_at=None):
 
         sim.schedule_at(req.arrival_time, submit)
     if fail_at is not None:
-        sim.schedule_at(fail_at, inst.fail)
+        sink = victims if victims is not None else []
+        sim.schedule_at(fail_at, lambda: sink.extend(inst.fail()))
     sim.run()
     records = sorted(
         (s.request_id, s.generated, tuple(s.token_times)) for s in done
@@ -297,6 +314,39 @@ def _drive_midstream(spec, fast):
     return done, tuple(first.token_times), tuple(second.token_times)
 
 
+def _drive_ties(spec, fast):
+    """Equal finish steps: the done order must be the admission order.
+
+    Requests 2, 7 and 0 are admitted together with equal lengths. Mid-run
+    submits 6 and 1 are admitted together; 4 and 8, admitted a few steps
+    later, are sized to finish on the same step as 6 and 1 and as 3.
+    """
+    sim = Simulation()
+    done = []
+    inst = DecodeInstance(sim, spec, done.append, fast_kernel=fast)
+
+    def submit(request_id, output_len):
+        state = RequestState(
+            request=Request(request_id=request_id, arrival_time=sim.now,
+                            input_len=100 + 10 * request_id,
+                            output_len=output_len),
+            phase=RequestPhase.WAITING_DECODE, generated=1,
+        )
+        state.token_times.append(sim.now)
+        inst.submit(state)
+
+    for request_id in (5, 2, 7, 0):
+        submit(request_id, 12)
+    submit(3, 30)
+    for at, request_id, output_len in ((0.021, 6, 24), (0.021, 1, 24),
+                                       (0.043, 4, 21), (0.043, 8, 25)):
+        sim.schedule_at(at, lambda r=request_id, n=output_len: submit(r, n))
+    sim.run()
+    return [
+        (s.request_id, s.generated, tuple(s.token_times)) for s in done
+    ]
+
+
 class TestDecodeInstanceParity:
     def test_reserved_admission_queues_identically(self, tiny_model):
         gpu = _small_gpu(tiny_model, 4000)
@@ -329,6 +379,92 @@ class TestDecodeInstanceParity:
             got = _drive_midstream(tiny_spec, fast)
             assert _digest(got) == PINNED["decode_midstream"]
             assert got[0] == [1, 0]  # short newcomer finishes first
+
+    def test_equal_finish_steps_complete_in_admission_order(self, tiny_spec):
+        for fast in (True, False):
+            got = _drive_ties(tiny_spec, fast)
+            assert _digest(got) == PINNED["decode_ties"]
+            assert [rid for rid, _, _ in got] == [5, 2, 7, 0, 6, 1, 4, 3, 8]
+            finish = {rid: times[-1] for rid, _, times in got}
+            assert finish[2] == finish[7] == finish[0]
+            assert finish[6] == finish[1] == finish[4]
+            assert finish[3] == finish[8]
+
+    def test_fail_mid_run_pp2_jitter_identical(self, tiny_model):
+        """Victims of a pp=2 jittered failure carry the same token state."""
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 2), jitter_sigma=0.1
+        )
+        for fast in (True, False):
+            victims = []
+            run = _drive_decode(spec, fast, fail_at=0.7, victims=victims)
+            lost = [
+                (s.request_id, s.generated, tuple(s.token_times),
+                 s.recompute_len)
+                for s in victims
+            ]
+            assert run[2] and lost  # some finished, some were in flight
+            assert _digest((run, lost)) == PINNED["decode_fail_pp2_jitter"]
+
+
+# ----------------------------------------------------------------------
+# Lazy token accounting: a run end touches only its finishers.
+# ----------------------------------------------------------------------
+class TestLazyTokenAccounting:
+    def test_saturated_trial_records_tokens_once_per_request(
+        self, monkeypatch
+    ):
+        """Timing-free complexity witness for the uncapped engine.
+
+        At rate 200 every arrival cuts a run short; recording each
+        active request's tokens at every run end made ``record_tokens``
+        calls grow with runs x batch. Lazily, each request records once.
+        """
+        spec = InstanceSpec(
+            model=get_model("opt-13b"), config=ParallelismConfig(1, 1)
+        )
+        trace = generate_trace(
+            get_dataset("sharegpt"), rate=200.0, num_requests=1000,
+            rng=np.random.default_rng(0),
+        )
+        calls = collections.Counter()
+        record_tokens = RequestState.record_tokens
+
+        def counting(state, times):
+            calls[state.request_id] += 1
+            record_tokens(state, times)
+
+        def make(sim, fast):
+            return DecodeOnlySystem(sim, spec, fast_kernel=fast)
+
+        monkeypatch.setattr(RequestState, "record_tokens", counting)
+        fast = _run_system(make, trace, True)
+        monkeypatch.undo()
+        assert fast[0] == len(trace)
+        assert max(calls.values()) == 1
+        assert _run_system(make, trace, False) == fast
+
+    def test_boundary_log_trimmed_below_oldest_join(
+        self, monkeypatch, tiny_spec, trace
+    ):
+        """A small trim threshold keeps the log short and records exact."""
+        monkeypatch.setattr(decode_instance, "_LOG_TRIM_MIN", 8)
+        longest = max(r.output_len for r in trace)
+        peak = []
+        materialize = DecodeInstance._materialize
+
+        def tracking(inst, upto):
+            materialize(inst, upto)
+            peak.append(len(inst._log))
+
+        monkeypatch.setattr(DecodeInstance, "_materialize", tracking)
+        _parity(
+            lambda sim, fast: DecodeOnlySystem(sim, tiny_spec, fast_kernel=fast),
+            trace, "decode_only",
+        )
+        # After a trim the log spans at most one request's lifetime; it
+        # then grows to twice that, plus at most one run, before the next.
+        assert 0 < max(peak) <= 3 * longest
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ self-hosting guarantee that the shipped tree lints clean.
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import pathlib
@@ -759,6 +760,32 @@ class TestCrossModuleReachability:
             """,
         )
         assert findings == []
+
+    @pytest.mark.parametrize("helper", [
+        "_plan_run", "_finish_run", "_materialize", "_sync_all",
+        "_pop_finished", "_trim_log",
+    ])
+    def test_perf001_covers_decode_instance_run_helpers(self, helper):
+        """A sum planted in any per-run helper of the real decode
+        instance is flagged: the lazy-accounting helpers stay reachable
+        from the decode loop roots."""
+        path = REPO_ROOT / "src" / "repro" / "simulator" / "decode_instance.py"
+        source = path.read_text()
+        tree = ast.parse(source)
+        (fn,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == helper
+        ]
+        first = fn.body[0]
+        lines = source.splitlines(keepends=True)
+        lines.insert(
+            first.lineno - 1, " " * first.col_offset + "_probe = sum(())\n"
+        )
+        findings = lint_sources(
+            {"repro.simulator.decode_instance": "".join(lines)},
+            select=["PERF001"],
+        )
+        assert [f.message.split("`")[1] for f in findings] == [helper]
 
     def test_det004_float_sum_in_helper_module_feeding_hot_path(self):
         findings = run_modules(
