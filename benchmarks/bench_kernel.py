@@ -68,18 +68,25 @@ def _records(result):
     )
 
 
-def _time_trace(make_system, trace, rounds):
-    """Min-of-K wall time of (build system + run trace), plus the records."""
-    best = float("inf")
-    records = None
+def _time_paths(make_system, trace, rounds):
+    """Min-of-K wall time of (build system + run trace) on each path.
+
+    ``make_system(sim, fast_kernel)`` builds the system. Capped and
+    uncapped rounds alternate, so drifting host load hits both sides
+    alike instead of only the later one. Returns ``(slow_s, fast_s,
+    parity)``, where parity is bitwise equality of the two paths'
+    records.
+    """
+    best = [float("inf"), float("inf")]
+    records = [None, None]
     for _ in range(rounds):
-        sim = Simulation()
-        t0 = time.perf_counter()
-        system = make_system(sim)
-        result = simulate_trace(system, trace)
-        best = min(best, time.perf_counter() - t0)
-        records = _records(result)
-    return best, records
+        for fast in (False, True):
+            sim = Simulation()
+            t0 = time.perf_counter()
+            result = simulate_trace(make_system(sim, fast), trace)
+            best[fast] = min(best[fast], time.perf_counter() - t0)
+            records[fast] = _records(result)
+    return best[False], best[True], records[False] == records[True]
 
 
 def _bench_decode_only(scenario, dataset, rate, num_requests, rounds):
@@ -90,12 +97,8 @@ def _bench_decode_only(scenario, dataset, rate, num_requests, rounds):
         dataset, rate=rate, num_requests=num_requests,
         rng=np.random.default_rng(0),
     )
-    slow_s, slow_records = _time_trace(
-        lambda sim: DecodeOnlySystem(sim, spec, fast_kernel=False),
-        trace, rounds,
-    )
-    fast_s, fast_records = _time_trace(
-        lambda sim: DecodeOnlySystem(sim, spec, fast_kernel=True),
+    slow_s, fast_s, parity = _time_paths(
+        lambda sim, fast: DecodeOnlySystem(sim, spec, fast_kernel=fast),
         trace, rounds,
     )
     row = {
@@ -106,7 +109,7 @@ def _bench_decode_only(scenario, dataset, rate, num_requests, rounds):
         "fast_s": round(fast_s, 4),
         "speedup_vs_baseline": round(slow_s / fast_s, 2),
     }
-    return row, fast_records == slow_records
+    return row, parity
 
 
 def bench_decode_heavy(num_requests, rounds):
@@ -129,15 +132,9 @@ def bench_disaggregated_parity(num_requests, rounds):
         MIXED, rate=10.0, num_requests=num_requests,
         rng=np.random.default_rng(1),
     )
-    slow_s, slow_records = _time_trace(
-        lambda sim: DisaggregatedSystem(
-            sim, spec, spec, num_prefill=1, num_decode=2, fast_kernel=False
-        ),
-        trace, rounds,
-    )
-    fast_s, fast_records = _time_trace(
-        lambda sim: DisaggregatedSystem(
-            sim, spec, spec, num_prefill=1, num_decode=2, fast_kernel=True
+    slow_s, fast_s, parity = _time_paths(
+        lambda sim, fast: DisaggregatedSystem(
+            sim, spec, spec, num_prefill=1, num_decode=2, fast_kernel=fast
         ),
         trace, rounds,
     )
@@ -152,7 +149,7 @@ def bench_disaggregated_parity(num_requests, rounds):
         # guard to gate on.
         "speedup": round(slow_s / fast_s, 2),
     }
-    return row, fast_records == slow_records
+    return row, parity
 
 
 def bench_fig12_sweep(num_requests):

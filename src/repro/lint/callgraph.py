@@ -31,9 +31,9 @@ create no edge. Known blind spots are documented in DESIGN.md §4i.
 
 Builds are memoized in-process on the content hash of every source
 file, so repeated engine runs over the same sources share one graph.
-Rules cache what they derive from a graph (reachable sets, typestate
-summaries) on the graph itself via :meth:`ProjectGraph.derived`, so a
-derived result can never outlive or be served to another graph.
+Rules cache what they derive from a graph (reachable sets) on the
+graph itself via :meth:`ProjectGraph.derived`, so a derived result can
+never outlive or be served to another graph.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from typing import (
 )
 
 __all__ = [
-    "CallRecord",
     "CallableArg",
     "ClassInfo",
     "FunctionNode",
@@ -108,19 +107,6 @@ class ClassInfo:
     #: ``self.<attr>`` name -> class qualname inferred from constructor
     #: assignments, annotations, or annotated-parameter stores.
     attr_types: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    """One resolved call site inside a function body."""
-
-    line: int
-    col: int
-    callees: Tuple[str, ...]
-    receiver_class: Optional[str]
-    #: True when resolved through a bound receiver (``obj.m()``), so the
-    #: callee's leading ``self`` parameter is already consumed.
-    bound: bool
 
 
 @dataclass(frozen=True)
@@ -187,7 +173,6 @@ class ProjectGraph:
         self.module_paths: Dict[str, str] = {}
         self.edges: Dict[str, Tuple[str, ...]] = {}
         self.callable_args: Tuple[CallableArg, ...] = ()
-        self.call_records: Dict[str, Dict[Tuple[int, int], CallRecord]] = {}
         self.source_hash: str = ""
         self._derived: Dict[Hashable, object] = {}
 
@@ -231,9 +216,6 @@ class ProjectGraph:
         if key not in self._derived:
             self._derived[key] = compute(self)
         return cast(_T, self._derived[key])
-
-    def calls_in(self, qualname: str) -> Dict[Tuple[int, int], CallRecord]:
-        return self.call_records.get(qualname, {})
 
 
 # ----------------------------------------------------------------------
@@ -467,22 +449,11 @@ class _Builder:
             if index is None or fn.node is None:
                 continue
             self._edges.setdefault(qualname, set())
-            records: Dict[Tuple[int, int], CallRecord] = {}
             scope = _FnScope(self, index, fn)
             for call in scope.owned_calls():
-                callees, receiver_class, bound = scope.resolve_call(
-                    call, unique_methods
+                self._edges[qualname].update(
+                    scope.resolve_call(call, unique_methods)
                 )
-                for callee in callees:
-                    self._edges[qualname].add(callee)
-                if callees or receiver_class is not None:
-                    records[(call.lineno, call.col_offset)] = CallRecord(
-                        line=call.lineno,
-                        col=call.col_offset,
-                        callees=tuple(sorted(callees)),
-                        receiver_class=receiver_class,
-                        bound=bound,
-                    )
                 sink = _tail(call.func)
                 if sink is not None:
                     for target in scope.callable_arguments(call):
@@ -490,8 +461,6 @@ class _Builder:
                         self._callable_args.append(
                             CallableArg(caller=qualname, sink=sink, callee=target)
                         )
-            if records:
-                self.graph.call_records[qualname] = records
             if isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             # Module pseudo-node: decorator applications anywhere in the
@@ -692,27 +661,25 @@ class _FnScope:
 
     def resolve_call(
         self, call: ast.Call, unique_methods: Mapping[str, str]
-    ) -> Tuple[List[str], Optional[str], bool]:
-        """(callee qualnames, receiver class, bound?) for one call."""
+    ) -> List[str]:
+        """Callee qualnames of one call."""
         func = call.func
         if isinstance(func, ast.Name):
             local = self._var_callables.get(func.id)
             if local is not None:
-                return [local], None, True
+                return [local]
             target = self.resolve_function_name(func.id)
-            return ([target] if target else []), None, False
+            return [target] if target else []
         if not isinstance(func, ast.Attribute):
-            return [], None, False
+            return []
         # Fully-qualified (possibly aliased) module function.
         direct = self.resolve_function_name(_dotted(func))
         if direct is not None:
-            return [direct], None, False
+            return [direct]
         receiver_class = self.type_of(func.value)
         if receiver_class is not None:
             method = self._builder._method_on(receiver_class, func.attr)
-            if method is not None:
-                return [method], receiver_class, True
-            return [], receiver_class, True
+            return [method] if method is not None else []
         # ``self.m()`` on a class that doesn't define m (mixins, dynamic
         # assignment): over-approximate with same-module methods.
         if isinstance(func.value, ast.Name) and func.value.id == "self":
@@ -724,11 +691,9 @@ class _FnScope:
                 if fn.name == func.attr and fn.cls is not None
             ]
             if matches:
-                return matches, None, True
+                return matches
         unique = unique_methods.get(func.attr)
-        if unique is not None:
-            return [unique], None, True
-        return [], None, True
+        return [unique] if unique is not None else []
 
     def callable_arguments(self, call: ast.Call) -> List[str]:
         """Project functions passed (not called) as arguments."""

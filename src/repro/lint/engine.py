@@ -134,7 +134,7 @@ class ModuleContext:
     nested_def_names: "set[str]" = field(default_factory=set)
     #: Whole-program call graph over every file in this lint run (a
     #: single-module graph when linting one source blob). Shared by all
-    #: reachability/typestate rules; None only for hand-built contexts.
+    #: reachability rules; None only for hand-built contexts.
     project: "ProjectGraph | None" = None
 
     def parent(self) -> "ast.AST | None":
@@ -478,7 +478,7 @@ class LintEngine:
         """Lint files/directories; returns (findings, files_checked).
 
         All files are indexed into one shared project call graph before
-        any rule runs, so reachability/typestate rules see cross-module
+        any rule runs, so reachability rules see cross-module
         edges. Parse trees are built once and reused by the rules.
         """
         from .callgraph import build_project

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, List
 
-from ..quantities import Requests, Tokens
 from .config import BATCH_POLICIES
 
 if TYPE_CHECKING:  # annotation-only: avoids a package import cycle
@@ -47,7 +46,7 @@ class PrefillChunk:
     """
 
     state: RequestState
-    tokens: Tokens
+    tokens: int
     first: bool = True
     final: bool = True
 
@@ -61,7 +60,7 @@ class BatchPolicy:
         self,
         queue: "Deque[RequestState]",
         kv: KVBlockManager,
-        limit: Tokens,
+        limit: int,
     ) -> "List[PrefillChunk]":
         """Pop a prefix of ``queue`` into a batch within ``limit`` tokens.
 
@@ -70,7 +69,7 @@ class BatchPolicy:
         """
         raise NotImplementedError
 
-    def admit_decode(self, active: Requests, cap: Requests) -> bool:
+    def admit_decode(self, active: int, cap: int) -> bool:
         """Whether the decode loop may admit one more active request."""
         return active < cap
 
@@ -91,7 +90,7 @@ class TokenBudgetBatch(BatchPolicy):
         self,
         queue: "Deque[RequestState]",
         kv: KVBlockManager,
-        limit: Tokens,
+        limit: int,
     ) -> "List[PrefillChunk]":
         batch: "List[PrefillChunk]" = []
         total = 0
@@ -131,7 +130,7 @@ class ChunkedBatch(BatchPolicy):
         self,
         queue: "Deque[RequestState]",
         kv: KVBlockManager,
-        limit: Tokens,
+        limit: int,
     ) -> "List[PrefillChunk]":
         batch: "List[PrefillChunk]" = []
         total = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque
 
-from ..quantities import Seconds, TokensPerSecond
 from .config import QUEUE_POLICIES
 
 if TYPE_CHECKING:  # annotation-only: avoids a package import cycle
@@ -32,7 +31,7 @@ class QueuePolicy:
     name = ""
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: Seconds
+        self, queue: "Deque[RequestState]", now: float
     ) -> "Deque[RequestState]":
         """Return the queue in admission order (may be the same object)."""
         raise NotImplementedError
@@ -44,7 +43,7 @@ class FCFSQueue(QueuePolicy):
     name = "fcfs"
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: Seconds
+        self, queue: "Deque[RequestState]", now: float
     ) -> "Deque[RequestState]":
         return queue
 
@@ -63,7 +62,7 @@ class SJFQueue(QueuePolicy):
 
     def __init__(
         self,
-        aging: TokensPerSecond = 2000.0,
+        aging: float = 2000.0,
         enqueue_stamp: str = "prefill_enqueue",
     ) -> None:
         if aging < 0:
@@ -72,7 +71,7 @@ class SJFQueue(QueuePolicy):
         self._stamp = enqueue_stamp
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: Seconds
+        self, queue: "Deque[RequestState]", now: float
     ) -> "Deque[RequestState]":
         if len(queue) <= 1:
             return queue
@@ -94,20 +93,20 @@ class EDFQueue(QueuePolicy):
 
     name = "edf"
 
-    def __init__(self, default_deadline: Seconds = 10.0) -> None:
+    def __init__(self, default_deadline: float = 10.0) -> None:
         if default_deadline <= 0:
             raise ValueError(
                 f"default_deadline must be positive, got {default_deadline}"
             )
         self._default = default_deadline
 
-    def _deadline(self, state: RequestState) -> Seconds:
+    def _deadline(self, state: RequestState) -> float:
         if state.deadline is not None:
             return state.deadline
         return state.request.arrival_time + self._default
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: Seconds
+        self, queue: "Deque[RequestState]", now: float
     ) -> "Deque[RequestState]":
         if len(queue) <= 1:
             return queue
@@ -116,8 +115,8 @@ class EDFQueue(QueuePolicy):
 
 def make_queue_policy(
     policy: str,
-    sjf_aging: TokensPerSecond = 2000.0,
-    edf_default_deadline: Seconds = 10.0,
+    sjf_aging: float = 2000.0,
+    edf_default_deadline: float = 10.0,
     enqueue_stamp: str = "prefill_enqueue",
 ) -> QueuePolicy:
     """Build the named queue policy with its knobs bound."""

@@ -166,6 +166,18 @@ class DisaggregatedSystem(ServingSystem):
             fn=lambda: self.failures,
         )
 
+    def waiting_for_kv(self) -> "list[tuple[int, str, int, int]]":
+        """``(request id, queue, KV blocks needed, pool blocks)`` per
+        pull parked for a decode reservation (the sanitizer's liveness
+        report; the instances report their own queues)."""
+        return [
+            (state.request_id, f"{decode.name} pull queue",
+             decode.reservation_blocks(state),
+             decode.kv_capacity_tokens() // decode.spec.block_size)
+            for decode in self.decode_instances
+            for state, _ in self._pending_pull[decode.name]
+        ]
+
     def _pending_pull_depth(self) -> int:
         # Plain loop: metric callbacks run on the collection hot path and
         # must not allocate per call (reprolint OBS001).

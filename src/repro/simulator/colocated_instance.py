@@ -31,7 +31,7 @@ from typing import Callable, Deque
 
 from .events import Simulation
 from .instance import InstanceSpec, instrument_instance
-from .kvcache import KVBlockManager
+from .kvcache import KVBlockManager, blocks_needed
 from .metrics import MetricsRegistry
 from .observer import Observer
 from .request import RequestPhase, RequestState
@@ -135,6 +135,16 @@ class ColocatedInstance:
     @property
     def load(self) -> int:
         return len(self._waiting) + len(self._running)
+
+    def waiting_for_kv(self) -> "list[tuple[int, str, int, int]]":
+        """``(request id, queue, KV blocks needed, pool blocks)`` per
+        waiting request (the sanitizer's liveness report)."""
+        kv = self._kv
+        return [
+            (s.request_id, f"{self.name} queue",
+             blocks_needed(self._prompt_len(s), kv.block_size), kv.total_blocks)
+            for s in self._waiting
+        ]
 
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this replica's gauges/counters (callback-backed)."""
@@ -411,10 +421,14 @@ class ColocatedInstance:
         return step_tokens
 
     def _preempt_youngest(self, exclude_id: int) -> None:
-        """Recompute-preempt the most recently admitted running request."""
+        """Recompute-preempt the most recently admitted running request.
+
+        A request that generated its last token earlier in this step is
+        never the victim: it leaves the running set when the step ends.
+        """
         for idx in range(len(self._running) - 1, -1, -1):
             victim = self._running[idx]
-            if victim.request_id == exclude_id:
+            if victim.request_id == exclude_id or victim.is_finished:
                 continue
             self._running.pop(idx)
             self._running_ids.discard(victim.request_id)
@@ -431,7 +445,10 @@ class ColocatedInstance:
     # ------------------------------------------------------------------
     def _iteration_mixed(self, token_budget: int, combined: bool) -> None:
         """One Orca/SARATHI iteration: decode batch plus prompt (chunks)."""
-        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now)
+        if not self._chunk_progress:
+            # A partially prefilled prompt holds its KV and must keep the
+            # queue head, so the queue is reordered only between prompts.
+            self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now)
         contexts = [s.context_len for s in self._running]
         budget = token_budget if not combined else self._max_prefill_tokens
         chunk_lens: "list[int]" = []

@@ -244,6 +244,15 @@ class DecodeInstance:
         """Blocks a future admission of ``state`` will consume."""
         return -(-state.request.total_tokens // self._kv.block_size)
 
+    def waiting_for_kv(self) -> "list[tuple[int, str, int, int]]":
+        """``(request id, queue, KV blocks needed, pool blocks)`` per
+        waiting request (the sanitizer's liveness report)."""
+        return [
+            (s.request_id, f"{self.name} queue", self.reservation_blocks(s),
+             self._kv.total_blocks)
+            for s in self._waiting
+        ]
+
     # ------------------------------------------------------------------
     def submit(self, state: RequestState) -> None:
         """Accept a request whose KV cache has arrived.

@@ -27,7 +27,7 @@ from collections import deque
 
 from .events import Simulation
 from .instance import InstanceSpec, instrument_instance
-from .kvcache import KVBlockManager
+from .kvcache import KVBlockManager, blocks_needed
 from .metrics import MetricsRegistry
 from .observer import Observer
 from .request import RequestPhase, RequestState
@@ -115,6 +115,16 @@ class PrefillInstance:
     def kv_tokens_held(self) -> int:
         """KV tokens parked on this instance awaiting pull."""
         return self._kv.used_blocks * self._kv.block_size
+
+    def waiting_for_kv(self) -> "list[tuple[int, str, int, int]]":
+        """``(request id, queue, KV blocks needed, pool blocks)`` per
+        queued request (the sanitizer's liveness report)."""
+        kv = self._kv
+        return [
+            (s.request_id, f"{self.name} queue",
+             blocks_needed(s.prefill_len, kv.block_size), kv.total_blocks)
+            for s in self._queue
+        ]
 
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this instance's gauges/counters (callback-backed)."""

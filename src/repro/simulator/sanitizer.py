@@ -12,6 +12,9 @@ resources of a serving system to detect:
   ``arrivals == completed + rejected + in-flight`` and, once the event
   queue drains, ``in-flight == 0``; duplicate completions and
   completions of never-submitted requests are caught immediately;
+* **liveness** — a request still in flight once the queue drains is
+  reported by id with what blocks it: the queue it waits in and its KV
+  need in blocks against that pool's total;
 * **KV-block leaks** — any :class:`~repro.simulator.kvcache.KVBlockManager`
   still holding allocations when the simulation quiesces, reported with
   the leaking request ids (the "span ids" of PR 1's traces);
@@ -161,19 +164,27 @@ class SanitizedSimulation(Simulation):
             self._now = until
 
 
-class _SystemWatch:
-    """Conservation bookkeeping for one serving system."""
+def _capped(items: "list[str]", sep: str = ", ") -> str:
+    """The first 8 of ``items``, joined, plus a count of the rest."""
+    shown = sep.join(items[:8])
+    return shown + (f" (+{len(items) - 8} more)" if len(items) > 8 else "")
 
-    def __init__(self, sanitizer: "SimSanitizer", system: Any) -> None:
+
+class _SystemWatch:
+    """Conservation and liveness bookkeeping for one serving system."""
+
+    def __init__(self, sanitizer: "SimSanitizer", system: Any,
+                 instances: "list[Any]") -> None:
         self.sanitizer = sanitizer
         self.system = system
-        self.arrivals = 0
+        self.instances = instances
+        self.arrived_ids: "list[int]" = []
         self.completed_ids: "set[int]" = set()
         inner_submit = system.submit
         inner_complete = system._complete
 
         def submit(request: Any) -> None:
-            self.arrivals += 1
+            self.arrived_ids.append(request.request_id)
             inner_submit(request)
 
         def complete(state: Any) -> None:
@@ -197,20 +208,43 @@ class _SystemWatch:
         completed = len(system.records)
         rejected = getattr(system, "rejections", 0)
         in_flight = system.unfinished
-        if self.arrivals != completed + rejected + in_flight:
+        arrivals = len(self.arrived_ids)
+        if arrivals != completed + rejected + in_flight:
             self.sanitizer.violate(
                 "conservation",
-                f"arrivals ({self.arrivals}) != completed ({completed}) + "
+                f"arrivals ({arrivals}) != completed ({completed}) + "
                 f"rejected ({rejected}) + in-flight ({in_flight})",
                 self.sanitizer.now(),
             )
         if in_flight > 0:
+            done = {record.request_id for record in system.records}
+            stuck = [rid for rid in self.arrived_ids if rid not in done]
             self.sanitizer.violate(
                 "conservation",
                 f"{in_flight} request(s) still in flight after the event "
-                "queue drained — they can never complete",
+                "queue drained — they can never complete: "
+                + _capped(self._blockers(stuck), sep="; "),
                 self.sanitizer.now(),
+                request_id=stuck[0] if stuck else None,
             )
+
+    def _blockers(self, stuck: "list[int]") -> "list[str]":
+        """What each stuck request waits for: its queue and KV need."""
+        waits: "dict[int, str]" = {}
+        for source in [self.system, *self.instances]:
+            waiting_for_kv = getattr(source, "waiting_for_kv", None)
+            if waiting_for_kv is None:
+                continue
+            for request_id, queue, need, pool in waiting_for_kv():
+                waits.setdefault(
+                    request_id,
+                    f"request {request_id} waits in the {queue}, needing "
+                    f"{need} of its {pool} KV blocks",
+                )
+        return [
+            waits.get(rid, f"request {rid} is in no admission queue")
+            for rid in stuck
+        ]
 
 
 class _KvWatch:
@@ -225,12 +259,11 @@ class _KvWatch:
     def check_quiesce(self) -> None:
         if self.manager.used_blocks > 0:
             holders = self.manager.holders()
-            shown = ", ".join(str(h) for h in holders[:8])
-            extra = f" (+{len(holders) - 8} more)" if len(holders) > 8 else ""
             self.sanitizer.violate(
                 "kv-leak",
                 f"{self.owner}: {self.manager.used_blocks} block(s) still "
-                f"allocated at quiesce by request(s) {shown}{extra}",
+                "allocated at quiesce by request(s) "
+                + _capped([str(h) for h in holders]),
                 self.sanitizer.now(),
                 request_id=holders[0] if holders else None,
             )
@@ -328,12 +361,14 @@ class SimSanitizer:
         auto-discovers the system's KV block managers and transfer
         engine (prefill/decode/colocated instances expose their managers
         via the ``_kv`` attribute; disaggregated systems their engine
-        via ``_transfers``).
+        via ``_transfers``). The liveness report names, for each request
+        left in flight, the queue it waits in and its KV need, from the
+        ``waiting_for_kv()`` of the system and of its instances.
         """
-        self._system_watches.append(_SystemWatch(self, system))
         instances: "list[Any]" = []
         for attr in ("prefill_instances", "decode_instances", "instances"):
             instances.extend(getattr(system, attr, ()))
+        self._system_watches.append(_SystemWatch(self, system, instances))
         for instance in instances:
             manager = getattr(instance, "_kv", None)
             if isinstance(manager, KVBlockManager):

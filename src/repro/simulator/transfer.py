@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..quantities import Bytes, Seconds
 from .events import Simulation
 from .metrics import Histogram, MetricsRegistry, exponential_buckets
 from .observer import Observer
@@ -27,12 +26,12 @@ class TransferRecord:
     """Completed transfer, for the Figure 10(b) CDF."""
 
     request_id: int
-    num_bytes: Bytes
-    start_time: Seconds
-    end_time: Seconds
+    num_bytes: float
+    start_time: float
+    end_time: float
 
     @property
-    def duration(self) -> Seconds:
+    def duration(self) -> float:
         return self.end_time - self.start_time
 
 
@@ -93,7 +92,7 @@ class TransferEngine:
     def submit(
         self,
         request_id: int,
-        num_bytes: Bytes,
+        num_bytes: float,
         link: NetworkLink,
         on_done: Callable[[], None],
         num_parallel_channels: int = 1,
@@ -140,7 +139,7 @@ class TransferEngine:
 
         self._sim.schedule_at(end, _complete)
 
-    def link_busy_until(self, link: NetworkLink) -> Seconds:
+    def link_busy_until(self, link: NetworkLink) -> float:
         """When the link frees up (now or earlier if idle)."""
         state = self._links.get(id(link))
         return state.busy_until if state else 0.0

@@ -149,9 +149,6 @@ class TestMethodResolution:
             "repro.kvcache.KVBlockManager.allocate"
             in g.edges["repro.sim.Instance.admit"]
         )
-        record = next(iter(g.calls_in("repro.sim.Instance.admit").values()))
-        assert record.receiver_class == "repro.kvcache.KVBlockManager"
-        assert record.bound
 
     def test_annotated_attribute_resolves(self):
         g = graph(sources={

@@ -713,7 +713,6 @@ class TestEngine:
         assert rule_names() == [
             "DET001", "DET002", "DET003", "DET004",
             "OBS001", "PAR001", "PERF001", "SIM001", "SIM002",
-            "TS001", "TS002", "UNIT001",
         ]
 
 

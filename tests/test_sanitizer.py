@@ -10,7 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.hardware import NVLINK
+from repro.models import get_model
+from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import (
+    InstanceSpec,
     KVBlockManager,
     SanitizerError,
     SimSanitizer,
@@ -18,6 +21,7 @@ from repro.simulator import (
     TransferEngine,
     to_jsonl,
 )
+from repro.workload import Request, Trace
 from tests.test_golden_trace import GOLDEN_FILE, build_golden_spans
 
 
@@ -151,6 +155,72 @@ class TestConservation:
         system._complete(state)
         assert "duplicate-completion" in kinds(san)
         assert san.violations[0].request_id == 7
+
+
+# ----------------------------------------------------------------------
+# Liveness: what blocks a request that can never complete
+# ----------------------------------------------------------------------
+
+OPT_13B = InstanceSpec(model=get_model("opt-13b"))
+POOL_BLOCKS = OPT_13B.make_kv_manager().total_blocks
+
+
+def _stuck_violation(system, requests):
+    """Run ``requests`` under a strict sanitizer; return the quiesce error."""
+    san = SimSanitizer(strict=True)
+    sim = san.simulation()
+    made = system(sim)
+    san.watch_system(made)
+    simulate_trace(made, Trace(requests=requests))
+    with pytest.raises(SanitizerError) as excinfo:
+        san.check_quiesce()
+    return excinfo.value.violation
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("system,queue", [
+        (lambda sim: DisaggregatedSystem(sim, OPT_13B, OPT_13B), "prefill-0"),
+        (lambda sim: ColocatedSystem(sim, OPT_13B), "colocated-0"),
+    ], ids=["disaggregated", "colocated"])
+    def test_unfittable_prompt_names_queue_and_kv_need(self, system, queue):
+        # A 10M-token prompt never fits the pool, and the eleven requests
+        # queued behind it never reach the head: the report names the
+        # first eight and counts the rest.
+        requests = [
+            Request(request_id=0, arrival_time=0.0, input_len=100, output_len=8),
+            Request(request_id=1, arrival_time=0.5, input_len=10_000_000,
+                    output_len=8),
+        ] + [
+            Request(request_id=i, arrival_time=float(i), input_len=100,
+                    output_len=8)
+            for i in range(2, 12)
+        ]
+        violation = _stuck_violation(system, requests)
+        assert violation.kind == "conservation"
+        assert violation.request_id == 1
+        message = violation.message
+        assert message.startswith("11 request(s) still in flight")
+        assert (
+            f"request 1 waits in the {queue} queue, needing 625000 of its "
+            f"{POOL_BLOCKS} KV blocks; request 2 waits in the {queue} queue"
+        ) in message
+        assert "request 8 " in message and "request 9 " not in message
+        assert message.endswith("(+3 more)")
+
+    def test_decode_reservation_too_large_waits_in_pull_queue(self):
+        # The prompt fits the prefill pool; prompt plus output does not
+        # fit the decode pool, so the pull is never started.
+        prompt = (POOL_BLOCKS - 10) * OPT_13B.block_size
+        output = 20 * OPT_13B.block_size
+        violation = _stuck_violation(
+            lambda sim: DisaggregatedSystem(sim, OPT_13B, OPT_13B),
+            [Request(request_id=0, arrival_time=0.0, input_len=prompt,
+                     output_len=output)],
+        )
+        assert violation.message.endswith(
+            f"request 0 waits in the decode-0 pull queue, needing "
+            f"{POOL_BLOCKS + 10} of its {POOL_BLOCKS} KV blocks"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.scheduling import (
     ChunkedBatch,
     Dispatcher,
     EDFQueue,
+    SJFQueue,
     SchedulingConfig,
     TokenBudgetBatch,
     make_batch_policy,
@@ -122,6 +123,18 @@ class TestEDFQueue:
         q = EDFQueue().reorder(deque(states), now=0.0)
         assert [s.request_id for s in q] == [0, 1, 2]
 
+    def test_default_deadline_is_seconds_after_arrival(self):
+        # Arrival 1 s plus the 10 s default is due at 11 s: after an
+        # explicit 10.5 s deadline, before an explicit 11.5 s one.
+        default, = make_states([(100, 2)], start_id=0, arrival=1.0)
+        sooner, later = make_states([(100, 2), (100, 2)], start_id=1)
+        sooner.deadline = 10.5
+        later.deadline = 11.5
+        q = EDFQueue(default_deadline=10.0).reorder(
+            deque([later, default, sooner]), now=0.0
+        )
+        assert [s.request_id for s in q] == [1, 0, 2]
+
     def test_end_to_end_edf_order(self, tiny_spec):
         """EDF runs the tight-deadline request first despite FCFS order."""
         sim = Simulation()
@@ -146,6 +159,21 @@ class TestEDFQueue:
         # are queued by the first reorder: strict deadline order wins
         # over FCFS submission order.
         assert done == [2, 1, 0]
+
+
+class TestSJFQueue:
+    def test_aging_credits_tokens_per_second_of_wait(self):
+        # Rank is prompt tokens minus aging (tokens/s) times seconds
+        # waited: a 1000-token prompt queued at t=0 under 2000 tokens/s
+        # ranks 200 at t=0.4 s (behind a fresh 100-token prompt) and 0
+        # at t=0.5 s (ahead of it).
+        old, fresh = make_states([(1000, 2), (100, 2)])
+        old.stamp("prefill_enqueue", 0.0)
+        sjf = SJFQueue(aging=2000.0)
+        for now, order in ((0.4, [1, 0]), (0.5, [0, 1])):
+            fresh.timestamps["prefill_enqueue"] = now
+            q = sjf.reorder(deque([old, fresh]), now=now)
+            assert [s.request_id for s in q] == order
 
 
 class TestBatchPolicies:
